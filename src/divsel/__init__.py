@@ -6,7 +6,6 @@ pairwise distance within S.
 """
 
 from .algorithms import (
-    AlgoConfig,
     classic_greedy,
     gist,
     greedy_independent_set,
@@ -53,7 +52,6 @@ from .utilities import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgoConfig",
     "BudgetAdditiveUtility",
     "ConstantZeroUtility",
     "CoverageUtility",

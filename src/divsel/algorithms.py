@@ -3,40 +3,33 @@
 * :func:`greedy_independent_set` -- budget-capped greedy over the points at
   distance >= d from the current selection (the candidates form an independent
   set of the intersection graph with edges between pairs closer than d).
-* :func:`gist` -- best-of search over the d = 0 greedy, a diametrical pair,
-  and one greedy independent set per distance threshold in the schedule.
+* :func:`gist` -- best of the d = 0 greedy, a diametrical pair, and one
+  greedy independent set per group of distance thresholds that no pairwise
+  distance separates.
 * :func:`simple_baseline` -- only the two extreme candidates (d = 0 greedy and
-  the diametrical pair).
+  the diametrical pair), shared with :func:`gist`.
 * :func:`classic_greedy` -- marginal-gain greedy on the full objective f that
   stops once every remaining gain is negative, then returns its best prefix.
 * :func:`random_baseline` -- best prefix of a uniformly random ordered
   k-sample.
 
-All tie-breaking is by lowest index.  Given identical inputs (and seed where
-applicable), every algorithm is deterministic.
+All tie-breaking is by lowest index.  Among equal-valued candidates the later
+one wins; among equal-valued prefixes the earlier one does.  Given identical
+inputs (and seed where applicable), every algorithm is deterministic.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .core import Instance, Problem, Solution, UtilityOracle, distance_thresholds, objective
 from .errors import InputError
 
-
-@dataclass(frozen=True)
-class AlgoConfig:
-    """Execution knobs that must not change results.
-
-    ``parallel_thresholds`` fans the per-threshold greedy runs of :func:`gist`
-    out to a thread pool; outputs are identical to sequential execution.
-    """
-
-    parallel_thresholds: bool = False
-    max_workers: int | None = None
+#: A selection offered by a solver, with the threshold it reports if it wins
+#: (0.0 for the d = 0 greedy, None for the diametrical pair).
+_Candidate = tuple[list[int], float | None]
 
 
 def greedy_independent_set(
@@ -52,8 +45,8 @@ def greedy_independent_set(
     """
     if k < 1:
         raise InputError("budget k must be >= 1")
-    if d < 0:
-        raise InputError("distance threshold must be nonnegative")
+    if not d >= 0:
+        raise InputError(f"distance threshold must be a nonnegative number, got {d}")
     if utility.n != instance.n:
         raise InputError("utility and instance sizes differ")
     n = instance.n
@@ -74,105 +67,90 @@ def greedy_independent_set(
     return selected
 
 
-def _sweep_thresholds(
-    problem: Problem, thresholds: list[float], config: AlgoConfig
-) -> tuple[list[list[int]], np.ndarray]:
-    """Greedy independent sets for a threshold list, deduplicated.
-
-    Thresholds separated by no pairwise distance induce the same intersection
-    graph, and the greedy run depends on the threshold only through
-    dist >= d comparisons, so such duplicates share a single run.  Returns
-    the distinct selections plus the index of each threshold's selection.
-    """
+def _extreme_candidates(problem: Problem) -> Iterator[_Candidate]:
+    """The d = 0 greedy (plain utility greedy), then a diametrical pair when k >= 2."""
     inst = problem.instance
-    keys = np.searchsorted(inst.pair_distances_sorted(), np.asarray(thresholds), side="left")
-    unique_keys, inverse = np.unique(keys, return_inverse=True)
-    first_index = {}
-    for pos, key in enumerate(keys):
-        first_index.setdefault(int(key), pos)
-    reps = [thresholds[first_index[int(key)]] for key in unique_keys]
-
-    def run(d: float) -> list[int]:
-        return greedy_independent_set(inst, problem.utility, d, problem.k)
-
-    if config.parallel_thresholds and len(reps) > 1:
-        with ThreadPoolExecutor(max_workers=config.max_workers) as pool:
-            results = list(pool.map(run, reps))
-    else:
-        results = [run(d) for d in reps]
-    return results, inverse
+    yield greedy_independent_set(inst, problem.utility, 0.0, problem.k), 0.0
+    if problem.k >= 2 and inst.n >= 2:
+        yield list(inst.diametrical_pair()), None
 
 
-class _BestOf:
-    """Running argmax over candidates with non-strict updates.
+def _gist_candidates(problem: Problem) -> Iterator[_Candidate]:
+    """The extreme candidates, then one greedy run per group of thresholds.
 
-    Among equal-valued candidates the one offered last wins, matching the
-    sequential threshold sweep and independent of evaluation order.
+    A greedy run sees ``d`` only through ``dist >= d`` tests on pairwise
+    distances, so thresholds with the same count of smaller pairwise distances
+    share one run.  Groups are contiguous in the ascending schedule; each
+    reports its largest threshold, as a later-wins per-threshold sweep would.
     """
-
-    def __init__(self):
-        self.best = None
-
-    def offer(self, sel: list[int], threshold: float | None, value: tuple[float, float, float]):
-        f, g, d = value
-        if self.best is None or f >= self.best[0]:
-            self.best = (f, g, d, threshold, sel)
-
-    def solution(self, problem: Problem, algorithm: str, oracle_start: int) -> Solution:
-        f, g, d, threshold, sel = self.best
-        return Solution(
-            selected=tuple(sorted(sel)),
-            f_value=f,
-            g_value=g,
-            div_value=d,
-            algorithm=algorithm,
-            oracle_calls=problem.utility.query_count - oracle_start,
-            winning_threshold=threshold,
-        )
+    yield from _extreme_candidates(problem)
+    thresholds = distance_thresholds(problem)
+    keys = np.searchsorted(problem.instance.pair_distances_sorted(), thresholds, side="left")
+    # a group ends where the next key differs (or the list ends)
+    for last in np.flatnonzero(np.diff(keys, append=np.inf)):
+        d = thresholds[last]
+        yield greedy_independent_set(problem.instance, problem.utility, d, problem.k), d
 
 
-def gist(problem: Problem, config: AlgoConfig | None = None) -> Solution:
+def _best_candidate(problem: Problem, algorithm: str, candidates: Iterable[_Candidate]) -> Solution:
+    """Evaluate every candidate and return the best; a later candidate replaces
+    an equal one.  ``candidates`` is consumed here, so the queries of the
+    greedy runs that lazily produce it count toward ``oracle_calls``."""
+    start = problem.utility.query_count
+    best = None
+    for sel, threshold in candidates:
+        value = objective(problem, sel)
+        if best is None or value[0] >= best[0][0]:
+            best = value, threshold, sel
+    (f, g, d), threshold, sel = best
+    return Solution(
+        selected=tuple(sorted(sel)),
+        f_value=f,
+        g_value=g,
+        div_value=d,
+        algorithm=algorithm,
+        oracle_calls=problem.utility.query_count - start,
+        winning_threshold=threshold,
+    )
+
+
+def _best_prefix(
+    problem: Problem, algorithm: str, start: int, order: list[int], values: list,
+    seed: int | None = None,
+) -> Solution:
+    """The best prefix of ``order``, earliest on ties; ``values[t]`` is the
+    ``(f, g, div)`` of ``order[: t + 1]``."""
+    best = int(np.argmax([f for f, _, _ in values]))
+    f, g, d = values[best]
+    return Solution(
+        selected=tuple(sorted(order[: best + 1])),
+        f_value=f,
+        g_value=g,
+        div_value=d,
+        algorithm=algorithm,
+        oracle_calls=problem.utility.query_count - start,
+        seed=seed,
+    )
+
+
+def gist(problem: Problem) -> Solution:
     """Threshold-sweep search returning the best candidate by objective value.
 
     Candidates, in order: the d = 0 greedy (plain utility greedy), a
-    diametrical pair when k >= 2, and one greedy independent set per distance
-    threshold in the problem's schedule.  Thresholds producing identical
-    selections share one greedy run and one objective evaluation.  The
-    reported ``winning_threshold`` is the threshold of the winning candidate
-    (0.0 for the greedy pass, ``None`` for the diametrical pair).
+    diametrical pair when k >= 2, and one greedy independent set per group of
+    thresholds in the schedule that no pairwise distance separates.  Each is
+    evaluated once; a later candidate replaces an equal one.  The reported
+    ``winning_threshold`` is 0.0 for the greedy pass, ``None`` for the
+    diametrical pair, and otherwise the winning group's largest threshold.
     """
-    config = config or AlgoConfig()
-    inst, util = problem.instance, problem.utility
-    start = util.query_count
-    best = _BestOf()
-    s0 = greedy_independent_set(inst, util, 0.0, problem.k)
-    best.offer(s0, 0.0, objective(problem, s0))
-    if problem.k >= 2 and inst.n >= 2:
-        pair = list(inst.diametrical_pair())
-        best.offer(pair, None, objective(problem, pair))
-    thresholds = distance_thresholds(problem)
-    if thresholds:
-        selections, inverse = _sweep_thresholds(problem, thresholds, config)
-        values = [objective(problem, sel) for sel in selections]
-        for pos, d in enumerate(thresholds):
-            idx = int(inverse[pos])
-            best.offer(selections[idx], d, values[idx])
     label = "gist" if problem.schedule == "geometric" else "gist-exhaustive"
-    return best.solution(problem, label, start)
+    return _best_candidate(problem, label, _gist_candidates(problem))
 
 
 def simple_baseline(problem: Problem) -> Solution:
     """Best of the two extreme candidates: utility-only greedy and a
     diametrical pair (skipped when k < 2)."""
-    inst, util = problem.instance, problem.utility
-    start = util.query_count
-    best = _BestOf()
-    s0 = greedy_independent_set(inst, util, 0.0, problem.k)
-    best.offer(s0, 0.0, objective(problem, s0))
-    if problem.k >= 2 and inst.n >= 2:
-        pair = list(inst.diametrical_pair())
-        best.offer(pair, None, objective(problem, pair))
-    return best.solution(problem, "simple", start)
+    return _best_candidate(problem, "simple", _extreme_candidates(problem))
 
 
 def classic_greedy(problem: Problem) -> Solution:
@@ -192,9 +170,7 @@ def classic_greedy(problem: Problem) -> Solution:
     min_dist = np.full(n, np.inf)
     in_set = np.zeros(n, dtype=bool)
     order: list[int] = []
-    f_prefix: list[float] = []
-    g_prefix: list[float] = []
-    div_prefix: list[float] = []
+    values = []
     for step in range(min(problem.k, n)):
         cand = np.flatnonzero(~in_set)
         g_gains = util.batch_marginal(cand, order)
@@ -209,18 +185,8 @@ def classic_greedy(problem: Problem) -> Solution:
         g_cur = g_cur + float(g_gains[pos])
         div_cur = float(min(div_cur, min_dist[t]))
         np.minimum(min_dist, inst.distance_row(t), out=min_dist)
-        f_prefix.append(g_cur + lam * div_cur)
-        g_prefix.append(g_cur)
-        div_prefix.append(div_cur)
-    best = int(np.argmax(f_prefix))
-    return Solution(
-        selected=tuple(sorted(order[: best + 1])),
-        f_value=f_prefix[best],
-        g_value=g_prefix[best],
-        div_value=div_prefix[best],
-        algorithm="greedy",
-        oracle_calls=util.query_count - start,
-    )
+        values.append((g_cur + lam * div_cur, g_cur, div_cur))
+    return _best_prefix(problem, "greedy", start, order, values)
 
 
 def random_baseline(problem: Problem, seed: int = 0) -> Solution:
@@ -234,23 +200,10 @@ def random_baseline(problem: Problem, seed: int = 0) -> Solution:
     rng = np.random.default_rng(seed)
     order = [int(v) for v in rng.permutation(inst.n)[: problem.k]]
     div_cur = inst.d_max
-    f_prefix: list[float] = []
-    g_prefix: list[float] = []
-    div_prefix: list[float] = []
+    values = []
     for t, v in enumerate(order):
         if t >= 1:
             div_cur = min(div_cur, float(inst.distance_row(v)[order[:t]].min()))
         g = util.evaluate(order[: t + 1])
-        f_prefix.append(g + lam * div_cur)
-        g_prefix.append(g)
-        div_prefix.append(div_cur)
-    best = int(np.argmax(f_prefix))
-    return Solution(
-        selected=tuple(sorted(order[: best + 1])),
-        f_value=f_prefix[best],
-        g_value=g_prefix[best],
-        div_value=div_prefix[best],
-        algorithm="random",
-        oracle_calls=util.query_count - start,
-        seed=seed,
-    )
+        values.append((g + lam * div_cur, g, div_cur))
+    return _best_prefix(problem, "random", start, order, values, seed)

@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, algorithms, formats, generators, oracle
-from .algorithms import AlgoConfig
 from .core import Instance, Problem, Solution
 from .errors import FormatError, InputError, SizeGuardError
 from .utilities import LinearUtility, MarginSimilarityUtility
@@ -69,13 +68,11 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _run_named(name: str, problem: Problem, seed: int, parallel: bool) -> Solution:
+def _run_named(name: str, problem: Problem, seed: int) -> Solution:
     if name == "gist":
-        return algorithms.gist(problem, AlgoConfig(parallel_thresholds=parallel))
+        return algorithms.gist(problem)
     if name == "gist-exhaustive":
-        return algorithms.gist(
-            problem.with_schedule("exhaustive"), AlgoConfig(parallel_thresholds=parallel)
-        )
+        return algorithms.gist(problem.with_schedule("exhaustive"))
     if name == "simple":
         return algorithms.simple_baseline(problem)
     if name == "greedy":
@@ -85,9 +82,9 @@ def _run_named(name: str, problem: Problem, seed: int, parallel: bool) -> Soluti
     raise InputError(f"unknown algorithm {name!r}; expected one of {ALGORITHM_NAMES} or 'all'")
 
 
-def _timed_run(name: str, problem: Problem, seed: int, parallel: bool, instance_hash: str) -> dict:
+def _timed_run(name: str, problem: Problem, seed: int, instance_hash: str) -> dict:
     t0 = time.perf_counter()
-    sol = _run_named(name, problem, seed, parallel)
+    sol = _run_named(name, problem, seed)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return {
         "algorithm": sol.algorithm,
@@ -220,7 +217,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         schedule=args.schedule,
     )
     instance_hash = _sha256(args.instance)
-    records = [_timed_run(name, problem, args.seed, args.parallel, instance_hash) for name in names]
+    records = [_timed_run(name, problem, args.seed, instance_hash) for name in names]
     _write_records(records, args.out, args.format)
     print(f"wrote {len(records)} record(s) to {args.out}")
     return EXIT_OK
@@ -252,7 +249,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         for name in names:
             for seed in seeds:
-                records.append(_timed_run(name, problem, seed, args.parallel, instance_hash))
+                records.append(_timed_run(name, problem, seed, instance_hash))
     records.sort(key=lambda rec: (rec["algorithm"], rec["k"], rec["seed"]))
     _write_csv(records, args.out)
     print(f"wrote {len(records)} row(s) to {args.out}")
@@ -299,7 +296,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "violations": [],
     }
     for name in ALGORITHM_NAMES:
-        sol = _run_named(name, problem, args.seed, args.parallel)
+        sol = _run_named(name, problem, args.seed)
         if exact.opt_value == 0.0:
             ratio = 1.0 if sol.f_value == 0.0 else None
         else:
@@ -396,7 +393,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         schedule=args.schedule,
     )
     t0 = time.perf_counter()
-    sol = algorithms.gist(problem, AlgoConfig(parallel_thresholds=args.parallel))
+    sol = algorithms.gist(problem)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     result = {
         "selected": list(sol.selected),
@@ -462,7 +459,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--algorithm", default="gist", help=f"{ALGORITHM_NAMES} or 'all'")
     solve.add_argument("--schedule", default="geometric", help="geometric | exhaustive")
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--parallel", action="store_true", help="parallel threshold sweep")
     solve.add_argument(
         "--validate-triangle", action="store_true",
         help="check the triangle inequality on matrix instances (O(n^3), n <= 512)",
@@ -480,7 +476,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--algorithms", default="gist,simple,greedy,random")
     sweep.add_argument("--seeds", default="0")
     sweep.add_argument("--schedule", default="geometric")
-    sweep.add_argument("--parallel", action="store_true")
     sweep.add_argument(
         "--validate-triangle", action="store_true",
         help="check the triangle inequality on matrix instances (O(n^3), n <= 512)",
@@ -495,7 +490,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--k", type=int, required=True)
     verify.add_argument("--epsilon", type=float, default=0.1)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--parallel", action="store_true")
     verify.add_argument(
         "--validate-triangle", action="store_true",
         help="check the triangle inequality on matrix instances (O(n^3), n <= 512)",
@@ -518,7 +512,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--lam", type=float, default=None, help="override the 1 - alpha default")
     ingest.add_argument("--epsilon", type=float, default=0.05)
     ingest.add_argument("--schedule", default="geometric")
-    ingest.add_argument("--parallel", action="store_true")
     ingest.add_argument("--out", required=True)
     ingest.set_defaults(func=cmd_ingest)
 

@@ -13,6 +13,8 @@ non-increasing under inclusion).
 
 from __future__ import annotations
 
+import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -328,14 +330,18 @@ class Problem:
             raise InputError(
                 f"utility is over {self.utility.n} points but instance has {self.instance.n}"
             )
+        try:
+            operator.index(self.k)
+        except TypeError:
+            raise InputError(f"cardinality budget must be an integer, got {self.k!r}") from None
         if not self.k >= 1:
             raise InputError(f"cardinality budget must be >= 1, got {self.k}")
         if self.k > self.instance.n:
             raise InputError(f"cardinality budget {self.k} exceeds ground set size {self.instance.n}")
         if not 0.0 < self.epsilon < 1.0:
             raise InputError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not self.lam >= 0.0:
-            raise InputError(f"lam must be nonnegative, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise InputError(f"lam must be finite and nonnegative, got {self.lam}")
         if self.schedule not in SCHEDULES:
             raise InputError(f"unknown schedule {self.schedule!r}; expected one of {SCHEDULES}")
 

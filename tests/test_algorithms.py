@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from divsel import (
-    AlgoConfig,
     ConstantZeroUtility,
     CoverageUtility,
     Instance,
@@ -142,17 +141,6 @@ def test_gist_winning_threshold_is_a_candidate():
             assert sol.winning_threshold == 0.0 or sol.winning_threshold in set(
                 distance_thresholds(problem)
             )
-
-
-def test_gist_parallel_thresholds_identical():
-    rng = np.random.default_rng(43)
-    inst = Instance.from_euclidean(rng.standard_normal((30, 4)))
-    util = LinearUtility(rng.uniform(0, 1, 30))
-    for schedule in ("geometric", "exhaustive"):
-        problem = Problem(inst, util, lam=0.7, k=8, epsilon=0.15, schedule=schedule)
-        sequential = gist(problem)
-        parallel = gist(problem, AlgoConfig(parallel_thresholds=True, max_workers=4))
-        assert sequential == parallel
 
 
 def test_gist_exhaustive_label():

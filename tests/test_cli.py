@@ -85,6 +85,10 @@ def test_solve_infeasible_budget_is_parameter_error(greedy_hard_files, tmp_path)
     inst, util = greedy_hard_files
     assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 99,
                "--out", tmp_path / "x.csv") == 3
+    for lam in ("inf", "nan"):
+        assert run("solve", "--instance", inst, "--utility", util, "--lam", lam, "--k", 6,
+                   "--algorithm", "all", "--out", tmp_path / "x.csv") == 3
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_solve_missing_and_malformed_files_are_parse_errors(tmp_path):

@@ -13,6 +13,7 @@ from divsel import (
     div,
     gen_greedy_hard,
     gen_nonsubmodular_example,
+    greedy_independent_set,
     objective,
 )
 from support import METRIC_STYLES, random_metric_instance
@@ -111,6 +112,14 @@ def test_problem_validation():
         Problem(inst, util, lam=1.0, k=2, schedule="other")
     with pytest.raises(InputError):
         Problem(inst, ConstantZeroUtility(5), lam=1.0, k=2)  # size mismatch
+    with pytest.raises(InputError):
+        Problem(inst, util, lam=1.0, k=2.5)  # non-integral budget
+    for lam in (math.inf, math.nan):
+        with pytest.raises(InputError):
+            Problem(inst, util, lam=lam, k=2)
+    assert Problem(inst, util, lam=1.0, k=np.int64(2)).k == 2  # numpy integers pass
+    with pytest.raises(InputError):
+        greedy_independent_set(inst, util, math.nan, 2)
 
 
 # ---------------------------------------------------------------------------
