@@ -55,13 +55,15 @@ def greedy_independent_set(
     # dist(v, S); +inf sentinel while S is empty (only ever compared, never
     # used in arithmetic)
     min_dist = np.full(n, np.inf)
+    state = utility._gain_state()
     for _ in range(k):
         cand = np.flatnonzero(~in_set & (min_dist >= d))
         if cand.size == 0:
             break
-        gains = utility.batch_marginal(cand, selected)
+        gains = state.gains(cand)
         t = int(cand[int(np.argmax(gains))])
         selected.append(t)
+        state.add(t)
         in_set[t] = True
         np.minimum(min_dist, instance.distance_row(t), out=min_dist)
     return selected
@@ -171,9 +173,10 @@ def classic_greedy(problem: Problem) -> Solution:
     in_set = np.zeros(n, dtype=bool)
     order: list[int] = []
     values = []
+    state = util._gain_state()
     for step in range(min(problem.k, n)):
         cand = np.flatnonzero(~in_set)
-        g_gains = util.batch_marginal(cand, order)
+        g_gains = state.gains(cand)
         new_div = np.minimum(div_cur, min_dist[cand])
         gains = g_gains + lam * (new_div - div_cur)
         pos = int(np.argmax(gains))
@@ -181,6 +184,7 @@ def classic_greedy(problem: Problem) -> Solution:
             break
         t = int(cand[pos])
         order.append(t)
+        state.add(t)
         in_set[t] = True
         g_cur = g_cur + float(g_gains[pos])
         div_cur = float(min(div_cur, min_dist[t]))

@@ -33,6 +33,8 @@ VALUE_RTOL = 1e-9
 TRIANGLE_ATOL = 1e-9
 #: Largest instance for which the O(n^3) triangle validation may run.
 TRIANGLE_CHECK_MAX_N = 512
+#: Largest dense distance matrix (in bytes) an instance may allocate.
+DENSE_MAX_BYTES = 2**31
 
 
 def canonical_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
@@ -54,9 +56,9 @@ class Instance:
       normalized on construction; note this distance may violate the triangle
       inequality, which is why the triangle check applies to matrices only).
 
-    The full pairwise distance matrix is materialized lazily and cached, so
-    memory grows as ``n**2``.  Instances are immutable after construction and
-    safe to share across threads.
+    The full pairwise distance matrix is materialized lazily and cached; one
+    above ``DENSE_MAX_BYTES`` raises :class:`InputError`.  Instances are
+    immutable after construction and safe to share across threads.
     """
 
     def __init__(
@@ -167,6 +169,8 @@ class Instance:
     def distance_matrix(self) -> np.ndarray:
         """Full pairwise distance matrix (cached, read-only)."""
         if self._pairwise is None:
+            if 8 * self.n**2 > DENSE_MAX_BYTES:
+                raise InputError(f"dense distance matrix for n={self.n} exceeds {DENSE_MAX_BYTES} B")
             with self._lock:
                 if self._pairwise is None:
                     if self.metric == "euclidean":
@@ -194,8 +198,8 @@ class Instance:
         if self._sorted_pair_distances is None:
             with self._lock:
                 if self._sorted_pair_distances is None:
-                    m = self.distance_matrix()
-                    vals = np.sort(m[np.triu_indices(self.n, 1)])
+                    upper = ~np.tri(self.n, dtype=bool)  # i < j, in row-major order
+                    vals = np.sort(self.distance_matrix()[upper])
                     vals.setflags(write=False)
                     self._sorted_pair_distances = vals
         return self._sorted_pair_distances
@@ -212,10 +216,10 @@ class Instance:
         """Lexicographically smallest pair (i < j) with dist(i, j) == d_max."""
         if self.n < 2:
             raise InputError("diametrical pair requires at least two points")
-        iu, ju = np.triu_indices(self.n, 1)
-        vals = self.distance_matrix()[iu, ju]
-        pos = int(np.flatnonzero(vals == self.d_max)[0])
-        return int(iu[pos]), int(ju[pos])
+        if self.d_max == 0.0:
+            return 0, 1
+        # symmetric with a zero diagonal, so the first row-major hit has i < j
+        return divmod(int(np.argmax(self.distance_matrix() == self.d_max)), self.n)
 
 
 class QueryCounter:
@@ -244,10 +248,10 @@ class UtilityOracle:
     query, matching the usual oracle-complexity model in which ``g(S)`` is
     already known when a marginal ``g(S + v) - g(S)`` is requested.
 
-    Subclasses implement ``_value`` and may override ``_marginal`` /
-    ``_batch_marginal`` with faster kind-specific paths; those must agree with
-    the plain value-difference computation.  All parameters are immutable
-    after construction; the query counter is the only mutable state.
+    Subclasses need only implement ``_value``.  Faster ``_marginal`` and
+    ``_batch_marginal`` overrides must agree with the value difference; the
+    solvers reach both through the default state of ``_gain_state``.  All
+    parameters are immutable; the query counter is the only mutable state.
     """
 
     kind: str = "abstract"
@@ -292,8 +296,10 @@ class UtilityOracle:
             raise InputError("candidate index out of range")
         if set(map(int, cand)) & set(s):
             raise InputError("candidates must be disjoint from the base set")
-        self._queries.add(int(cand.size))
-        return np.asarray(self._batch_marginal(cand, s), dtype=np.float64)
+        return self._gain_state(s).gains(cand)
+
+    def _gain_state(self, base: Iterable[int] = ()) -> "_GainState":
+        return _GainState(self, base)
 
     # -- kind-specific internals (no query accounting) -----------------------
 
@@ -306,6 +312,25 @@ class UtilityOracle:
 
     def _batch_marginal(self, cand: np.ndarray, s: tuple[int, ...]) -> np.ndarray:
         return np.array([self._marginal(int(v), s) for v in cand], dtype=np.float64)
+
+
+class _GainState:
+    """Gains against a growing selection, unchecked: callers pass in-range candidates
+    disjoint from it.  ``gains`` counts one query per candidate; ``add`` grows the
+    selection.  This default asks ``_batch_marginal``; kinds override ``_gains``/``add``."""
+
+    def __init__(self, utility: UtilityOracle, base: Iterable[int] = ()):
+        self.utility, self.s = utility, tuple(sorted(base))
+
+    def gains(self, cand: np.ndarray) -> np.ndarray:
+        self.utility._queries.add(int(cand.size))
+        return np.asarray(self._gains(cand), dtype=np.float64)
+
+    def _gains(self, cand: np.ndarray) -> np.ndarray:
+        return self.utility._batch_marginal(cand, self.s)
+
+    def add(self, v: int) -> None:
+        self.s = tuple(sorted(self.s + (int(v),)))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import UtilityOracle
+from .core import UtilityOracle, _GainState
 from .errors import InputError
 
 
@@ -63,38 +63,63 @@ class CoverageUtility(UtilityOracle):
     kind = "coverage"
 
     def __init__(self, family: Sequence[Iterable[int]], universe_size: int | None = None):
-        sets = tuple(frozenset(int(e) for e in f) for f in family)
+        try:
+            sets = [np.unique(np.fromiter(map(int, f), dtype=np.int64)) for f in family]
+        except OverflowError as exc:
+            raise InputError(f"coverage element ids must fit in 64 bits: {exc}") from exc
         if not sets:
             raise InputError("coverage family must be nonempty")
-        union = frozenset().union(*sets)
-        if universe_size is None:
-            universe_size = len(union)
-        else:
-            universe_size = int(universe_size)
-            if universe_size < len(union):
-                raise InputError(
-                    f"universe_size {universe_size} is smaller than the union of the family "
-                    f"({len(union)} elements)"
-                )
+        # CSR arrays: point -> element columns (ids compacted by np.unique), element -> points
+        self._ids, self._cols = np.unique(np.concatenate(sets), return_inverse=True)
+        universe_size = self._ids.size if universe_size is None else int(universe_size)
+        if universe_size < self._ids.size:
+            raise InputError(f"universe_size {universe_size} is smaller than the union of the "
+                             f"family ({self._ids.size} elements)")
         super().__init__(len(sets), monotone_declared=True, submodular_declared=True)
-        self.family = sets
         self.universe_size = universe_size
+        self._ptr = np.cumsum([0] + [c.size for c in sets])
+        self._owner = np.repeat(np.arange(self.n), np.diff(self._ptr))  # point of each column
+        self._el_ptr = np.cumsum(np.bincount(self._cols + 1, minlength=self._ids.size + 1))
+        self._el_pts = self._owner[np.argsort(self._cols, kind="stable")]
 
-    def _union(self, s):
-        covered: set[int] = set()
-        for i in s:
-            covered |= self.family[i]
-        return covered
+    @property
+    def family(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(c.tolist()) for c in np.split(self._ids[self._cols], self._ptr[1:-1]))
 
     def _value(self, s):
-        return float(len(self._union(s)))
+        return float(np.count_nonzero(~_CoverageGains(self, s).uncovered))
 
     def _marginal(self, v, s):
-        return float(len(self.family[v] - self._union(s)))
+        return float(_CoverageGains(self, s).gain[v])
 
-    def _batch_marginal(self, cand, s):
-        covered = self._union(s)
-        return np.array([len(self.family[int(v)] - covered) for v in cand], dtype=np.float64)
+    def _gain_state(self, base=()):
+        return _CoverageGains(self, base)
+
+
+def _segments(ptr: np.ndarray, rows) -> np.ndarray:
+    """Positions of the CSR rows ``rows`` (row offsets ``ptr``), concatenated."""
+    rows = np.asarray(rows, dtype=np.intp)
+    starts, lens = ptr[rows], ptr[rows + 1] - ptr[rows]
+    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
+
+
+class _CoverageGains(_GainState):
+    """Each point's count of uncovered elements, less one per element ``add`` covers."""
+
+    def __init__(self, utility: CoverageUtility, base=()):
+        self.utility, self.uncovered = utility, np.ones(utility._ids.size, dtype=bool)
+        self.uncovered[utility._cols[_segments(utility._ptr, tuple(base))]] = False
+        self.gain = np.bincount(utility._owner, self.uncovered[utility._cols], utility.n)
+
+    def _gains(self, cand):
+        return self.gain[cand]
+
+    def add(self, v):
+        u = self.utility
+        cols = u._cols[u._ptr[v]:u._ptr[v + 1]]
+        new = cols[self.uncovered[cols]]
+        self.uncovered[new] = False
+        self.gain -= np.bincount(u._el_pts[_segments(u._el_ptr, new)], minlength=u.n)
 
 
 class BudgetAdditiveUtility(UtilityOracle):
@@ -136,11 +161,23 @@ class BudgetAdditiveUtility(UtilityOracle):
         old = self.alpha * min(total / self.k, self.beta)
         return float(new - old)
 
-    def _batch_marginal(self, cand, s):
-        total = self._sum(s)
-        old = self.alpha * min(total / self.k, self.beta)
-        new = self.alpha * np.minimum((total + self.weights[cand]) / self.k, self.beta)
-        return new - old
+    def _gain_state(self, base=()):
+        return _BudgetGains(self, base)
+
+
+class _BudgetGains(_GainState):
+    """Sums the selection's weights in index order, as ``_sum`` does."""
+
+    def __init__(self, utility: BudgetAdditiveUtility, base=()):
+        self.utility, self.selected = utility, np.isin(np.arange(utility.n), list(base))
+
+    def _gains(self, cand):
+        u, total = self.utility, float(self.utility.weights[self.selected].sum())
+        old = u.alpha * min(total / u.k, u.beta)
+        return u.alpha * np.minimum((total + u.weights[cand]) / u.k, u.beta) - old
+
+    def add(self, v):
+        self.selected[v] = True
 
 
 class MarginSimilarityUtility(UtilityOracle):
@@ -228,11 +265,12 @@ class MarginSimilarityUtility(UtilityOracle):
                     total += sval
         return 2.0 * total
 
-    def _neighbor_sum(self, v, s):
+    def _neighbor_sums(self, cand, s):
+        """Each candidate's summed similarity to the points of ``s``."""
         if self._sim is not None:
-            return float(self._sim[v, list(s)].sum()) if s else 0.0
-        members = set(s)
-        return sum(sval for j, sval in self._adj[v] if j in members)
+            return self._sim[np.ix_(cand, list(s))].sum(axis=1) if s else np.zeros(len(cand))
+        members = set(s)  # once per call, not once per candidate
+        return np.array([sum(x for j, x in self._adj[v] if j in members) for v in cand])
 
     def _value(self, s):
         return float(
@@ -241,17 +279,10 @@ class MarginSimilarityUtility(UtilityOracle):
         )
 
     def _marginal(self, v, s):
-        return float(
-            self.alpha_s * self.uncertainty[v] - self.beta_s * 2.0 * self._neighbor_sum(v, s)
-        )
+        return float(self._batch_marginal([v], s)[0])
 
     def _batch_marginal(self, cand, s):
-        if self._sim is not None:
-            neighbor = (
-                self._sim[np.ix_(cand, list(s))].sum(axis=1) if s else np.zeros(cand.size)
-            )
-            return self.alpha_s * self.uncertainty[cand] - self.beta_s * 2.0 * neighbor
-        return np.array([self._marginal(int(v), s) for v in cand], dtype=np.float64)
+        return self.alpha_s * self.uncertainty[cand] - self.beta_s * 2.0 * self._neighbor_sums(cand, s)
 
 
 class TabulatedUtility(UtilityOracle):

@@ -54,6 +54,14 @@ def random_coverage_utility(rng: np.random.Generator, n: int) -> CoverageUtility
     return CoverageUtility(family, universe)
 
 
+def sparse_coverage_utility(rng: np.random.Generator, n: int) -> CoverageUtility:
+    """Coverage over negative and far-apart element ids; every third set is empty."""
+    ids = np.array([-7, -1, 0, 5, 10**6, 2**40])
+    family = [[] if v % 3 == 0 else [int(e) for e in ids[rng.random(ids.size) < 0.4]]
+              for v in range(n)]
+    return CoverageUtility(family)
+
+
 def random_budget_utility(rng: np.random.Generator, n: int, k: int) -> BudgetAdditiveUtility:
     return BudgetAdditiveUtility(
         rng.uniform(0.0, 1.0, size=n),

@@ -16,6 +16,7 @@ from divsel import (
     greedy_independent_set,
     objective,
 )
+from divsel.core import DENSE_MAX_BYTES
 from support import METRIC_STYLES, random_metric_instance
 
 
@@ -95,6 +96,19 @@ def test_diametrical_pair_is_lexicographically_smallest():
     inst = Instance.from_matrix(m)
     assert inst.d_max == 2.0
     assert inst.diametrical_pair() == (0, 1)
+    duplicates = Instance.from_euclidean(np.zeros((4, 2)))
+    assert duplicates.d_max == 0.0
+    assert duplicates.diametrical_pair() == (0, 1)
+
+
+def test_dense_matrix_above_byte_budget_is_refused():
+    # 16385 one-dimensional points are 131 KB; their dense matrix would be 2 GB
+    inst = Instance.from_euclidean(np.zeros((16385, 1)))
+    assert 8 * inst.n**2 > DENSE_MAX_BYTES
+    with pytest.raises(InputError, match="dense distance matrix"):
+        inst.distance_matrix()
+    with pytest.raises(InputError, match="dense distance matrix"):
+        inst.d_max
 
 
 def test_problem_validation():

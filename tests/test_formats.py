@@ -20,6 +20,7 @@ from divsel.formats import (
     load_utility,
     save_instance,
     save_utility,
+    utility_to_dict,
 )
 
 
@@ -68,6 +69,7 @@ def test_utility_round_trips(tmp_path):
     utilities = [
         LinearUtility(rng.uniform(0, 1, 6)),
         CoverageUtility([[0, 1], [2], [1, 3]], universe_size=4),
+        CoverageUtility([[-7, 10**6], [], [0, -7], [10**6], []]),
         BudgetAdditiveUtility(rng.uniform(0, 1, 6), alpha=0.9, beta=0.6, k=3),
         MarginSimilarityUtility(
             rng.uniform(0, 2, 4), edges=[(0, 1, 0.5), (2, 3, -0.25)], alpha_s=0.8, beta_s=0.2
@@ -79,9 +81,17 @@ def test_utility_round_trips(tmp_path):
         save_utility(util, path)
         loaded = load_utility(path)
         assert loaded.kind == util.kind and loaded.n == util.n
+        assert utility_to_dict(loaded) == utility_to_dict(util)
         for _ in range(10):
             s = [int(i) for i in np.flatnonzero(rng.random(util.n) < 0.5)]
             assert loaded.evaluate(s) == util.evaluate(s)
+
+
+def test_coverage_dump_lists_each_set_sorted():
+    util = CoverageUtility([[10**6, -7], [], [0, -7, 0]])
+    assert utility_to_dict(util) == {
+        "kind": "coverage", "family": [[-7, 10**6], [], [-7, 0]], "universe_size": 3
+    }
 
 
 def test_budget_additive_k_binding(tmp_path):

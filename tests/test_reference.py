@@ -1,13 +1,25 @@
-"""``gist`` and ``simple_baseline`` against the literal reference in
-``reference.py``: selections, f/g/div and the winning threshold must match
-exactly, on random and degenerate inputs."""
+"""The solvers against the literal reference in ``reference.py``:
+selections, f/g/div and the winning threshold must match exactly, on random
+and degenerate inputs, and every greedy run must count one query per
+candidate it scores."""
 
 import numpy as np
 import pytest
 
 import reference
-from divsel import ConstantZeroUtility, Instance, LinearUtility, Problem, gist, simple_baseline
-from support import make_utility, random_metric_instance
+from divsel import (
+    ConstantZeroUtility,
+    Instance,
+    LinearUtility,
+    MarginSimilarityUtility,
+    Problem,
+    classic_greedy,
+    distance_thresholds,
+    gist,
+    greedy_independent_set,
+    simple_baseline,
+)
+from support import make_utility, random_metric_instance, sparse_coverage_utility
 
 
 def cosine_instance(rng, n):
@@ -26,12 +38,25 @@ INSTANCES = {
     "cosine": cosine_instance,
 }
 
+
+def margin_similarity(rng, n, dense):
+    sim = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1)
+    uncertainty = rng.uniform(0.0, 2.0, n)
+    if dense:
+        return MarginSimilarityUtility(uncertainty, similarity=sim + sim.T)
+    edges = [(i, j, sim[i, j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+    return MarginSimilarityUtility(uncertainty, edges=edges)
+
+
 UTILITIES = {
     "coverage": lambda rng, n, k: make_utility("coverage", rng, n, k),
     "budget": lambda rng, n, k: make_utility("budget", rng, n, k),
     "linear": lambda rng, n, k: make_utility("linear", rng, n, k),
     "tied-integers": lambda rng, n, k: LinearUtility(rng.integers(0, 3, n).astype(float)),
     "zero": lambda rng, n, k: ConstantZeroUtility(n),
+    "margin-dense": lambda rng, n, k: margin_similarity(rng, n, dense=True),
+    "margin-edges": lambda rng, n, k: margin_similarity(rng, n, dense=False),
+    "sparse-coverage": lambda rng, n, k: sparse_coverage_utility(rng, n),
 }
 
 
@@ -61,3 +86,21 @@ def test_gist_and_simple_baseline_match_literal_reference(instance_kind):
     for problem, label in problems(instance_kind):
         assert outcome(gist(problem)) == reference.gist(problem), label
         assert outcome(simple_baseline(problem)) == reference.simple_baseline(problem), label
+
+
+@pytest.mark.parametrize("instance_kind", sorted(INSTANCES))
+def test_classic_greedy_matches_literal_reference(instance_kind):
+    for problem, label in problems(instance_kind):
+        if problem.schedule == "geometric":  # classic greedy has no schedule
+            assert outcome(classic_greedy(problem)) == reference.classic_greedy(problem), label
+
+
+@pytest.mark.parametrize("instance_kind", sorted(INSTANCES))
+def test_greedy_counts_one_query_per_scored_candidate(instance_kind):
+    for problem, label in problems(instance_kind):
+        inst, util = problem.instance, problem.utility
+        for d in [0.0] + distance_thresholds(problem):
+            expected, queries = reference.greedy(problem, d)
+            before = util.query_count
+            assert greedy_independent_set(inst, util, d, problem.k) == expected, (label, d)
+            assert util.query_count - before == queries, (label, d)

@@ -19,6 +19,7 @@ from support import (
     random_budget_utility,
     random_coverage_utility,
     random_linear_utility,
+    sparse_coverage_utility,
 )
 
 
@@ -155,7 +156,7 @@ def test_marginal_fast_path_matches_value_difference(kind):
 
 def test_batch_marginal_matches_singles():
     rng = np.random.default_rng(77)
-    for make in (random_linear_utility, random_coverage_utility):
+    for make in (random_linear_utility, random_coverage_utility, sparse_coverage_utility):
         util = make(rng, 10)
         s = [0, 3]
         cand = [1, 2, 4, 7, 9]
@@ -244,6 +245,8 @@ def test_utility_validation_errors():
         CoverageUtility([])
     with pytest.raises(InputError):
         CoverageUtility([[1, 9], [2, 3]], universe_size=2)  # universe smaller than union
+    with pytest.raises(InputError):
+        CoverageUtility([[1], [2**70]])  # element id beyond 64 bits
     with pytest.raises(InputError):
         TabulatedUtility(2, [0.0, 1.0])  # wrong table size
 
