@@ -3,9 +3,8 @@
 * :func:`greedy_independent_set` -- budget-capped greedy over the points at
   distance >= d from the current selection (the candidates form an independent
   set of the intersection graph with edges between pairs closer than d).
-* :func:`gist` -- best of the d = 0 greedy, a diametrical pair, and one
-  greedy independent set per group of distance thresholds that no pairwise
-  distance separates.
+* :func:`gist` -- best of the d = 0 greedy, a diametrical pair, and the
+  greedy independent sets of a sweep over every threshold of the schedule.
 * :func:`simple_baseline` -- only the two extreme candidates (d = 0 greedy and
   the diametrical pair), shared with :func:`gist`.
 * :func:`classic_greedy` -- marginal-gain greedy on the full objective f that
@@ -20,16 +19,64 @@ inputs (and seed where applicable), every algorithm is deterministic.
 
 from __future__ import annotations
 
+import bisect
+import math
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import Instance, Problem, Solution, UtilityOracle, distance_thresholds, objective
+from .core import Instance, Problem, Solution, UtilityOracle, _thresholds, objective
 from .errors import InputError
 
-#: A selection offered by a solver, with the threshold it reports if it wins
-#: (0.0 for the d = 0 greedy, None for the diametrical pair).
-_Candidate = tuple[list[int], float | None]
+#: An offer: selection, reported threshold (0.0 at d = 0, None for the pair), (f, g, div).
+_Candidate = tuple[list[int], float | None, tuple[float, float, float]]
+
+
+def _threshold_tree(
+    instance: Instance, utility: UtilityOracle, thresholds: np.ndarray, k: int
+) -> Iterator[tuple[list[int], int, int, float]]:
+    """The greedy independent set at each of the ascending ``thresholds``: one
+    depth-first sweep that shares the common prefixes of the runs.
+
+    At a prefix S of the runs at ``thresholds[lo:hi + 1]``, gains are asked
+    once, for the candidates at ``thresholds[lo]``.  Their pick t (ties to the
+    lowest index) is every threshold's pick up to dist(t, S); each higher one
+    takes the best candidate it still has, in a branch with its own gain
+    state, or its run ends at S.  Yields ``(selection in order, lo, hi,
+    run_div)`` by ascending ``lo``, ``run_div`` being the selection's minimum
+    distance (+inf below two points).
+    """
+    # pending paths: (S, lo, hi, dist(v, S) or +inf, candidates at thresholds[lo], run_div)
+    n = instance.n
+    paths = [([], 0, len(thresholds) - 1, np.full(n, np.inf), np.arange(n), math.inf)]
+    while paths:
+        sel, lo, hi, min_dist, cand, run_div = paths.pop()
+        state = utility._gain_state(sel) if cand.size and len(sel) < k else None
+        while len(sel) < k and cand.size:
+            gains = state.gains(cand)
+            t = int(cand[np.argmax(gains)])
+            top = last = min(hi, int(np.searchsorted(thresholds, min_dist[t], "right")) - 1)
+            at = len(paths)  # each higher branch goes below the lower ones: they pop ascending
+            while last < hi:  # peel off the thresholds above dist(t, S)
+                first = last + 1
+                sub = np.flatnonzero(min_dist[cand] >= thresholds[first])
+                if not sub.size:  # their runs end at S
+                    paths.insert(at, (sel.copy(), first, hi, None, sub, run_div))
+                    break
+                q = int(sub[np.argmax(gains[sub])])
+                u = int(cand[q])
+                row, rest = instance.distance_row(u), cand[sub[sub != q]]
+                last = min(hi, int(np.searchsorted(thresholds, min_dist[u], "right")) - 1)
+                paths.insert(at, (sel + [u], first, last, np.minimum(min_dist, row),
+                                  rest[row[rest] >= thresholds[first]],
+                                  min(run_div, float(min_dist[u]))))
+            row = instance.distance_row(t)
+            keep = (row[cand] >= thresholds[lo]) & (cand != t)
+            cand, hi, run_div = cand[keep], top, min(run_div, float(min_dist[t]))
+            np.minimum(min_dist, row, out=min_dist)
+            sel.append(t)
+            state.add(t)
+        yield sel, lo, hi, run_div
 
 
 def greedy_independent_set(
@@ -39,9 +86,9 @@ def greedy_independent_set(
 
     Repeatedly adds the candidate with the largest utility marginal gain
     (ties to the lowest index) among points at distance >= d from everything
-    selected so far.  Stops at ``k`` points or when no candidate remains, in
-    which case the selection is a maximal independent set of the
-    distance-< d intersection graph.  Returns indices in selection order.
+    selected so far, until ``k`` points or no candidate remains (then a maximal
+    independent set of the distance-< d intersection graph).  Returns indices
+    in selection order; the one-threshold case of the sweep :func:`gist` runs.
     """
     if k < 1:
         raise InputError("budget k must be >= 1")
@@ -49,59 +96,34 @@ def greedy_independent_set(
         raise InputError(f"distance threshold must be a nonnegative number, got {d}")
     if utility.n != instance.n:
         raise InputError("utility and instance sizes differ")
-    n = instance.n
-    selected: list[int] = []
-    in_set = np.zeros(n, dtype=bool)
-    # dist(v, S); +inf sentinel while S is empty (only ever compared, never
-    # used in arithmetic)
-    min_dist = np.full(n, np.inf)
-    state = utility._gain_state()
-    for _ in range(k):
-        cand = np.flatnonzero(~in_set & (min_dist >= d))
-        if cand.size == 0:
-            break
-        gains = state.gains(cand)
-        t = int(cand[int(np.argmax(gains))])
-        selected.append(t)
-        state.add(t)
-        in_set[t] = True
-        np.minimum(min_dist, instance.distance_row(t), out=min_dist)
-    return selected
+    return next(_threshold_tree(instance, utility, np.array([d], dtype=np.float64), k))[0]
 
 
-def _extreme_candidates(problem: Problem) -> Iterator[_Candidate]:
-    """The d = 0 greedy (plain utility greedy), then a diametrical pair when k >= 2."""
-    inst = problem.instance
-    yield greedy_independent_set(inst, problem.utility, 0.0, problem.k), 0.0
-    if problem.k >= 2 and inst.n >= 2:
-        yield list(inst.diametrical_pair()), None
-
-
-def _gist_candidates(problem: Problem) -> Iterator[_Candidate]:
-    """The extreme candidates, then one greedy run per group of thresholds.
-
-    A greedy run sees ``d`` only through ``dist >= d`` tests on pairwise
-    distances, so thresholds with the same count of smaller pairwise distances
-    share one run.  Groups are contiguous in the ascending schedule; each
-    reports its largest threshold, as a later-wins per-threshold sweep would.
-    """
-    yield from _extreme_candidates(problem)
-    thresholds = distance_thresholds(problem)
-    keys = np.searchsorted(problem.instance.pair_distances_sorted(), thresholds, side="left")
-    # a group ends where the next key differs (or the list ends)
-    for last in np.flatnonzero(np.diff(keys, append=np.inf)):
-        d = thresholds[last]
-        yield greedy_independent_set(problem.instance, problem.utility, d, problem.k), d
+def _sweep_candidates(problem: Problem, schedule: np.ndarray) -> Iterator[_Candidate]:
+    """One sweep over ``[0.0] + schedule``, offered in order: the run at d = 0,
+    a diametrical pair when k >= 2, then each distinct run holding schedule
+    thresholds with its largest (the one a later-wins loop would report)."""
+    inst, util, lam = problem.instance, problem.utility, problem.lam
+    thresholds = np.concatenate(([0.0], schedule))
+    for sel, lo, hi, run_div in _threshold_tree(inst, util, thresholds, problem.k):
+        g, d = util.evaluate(sel), min(inst.d_max, run_div)
+        value = (g + lam * d, g, d)
+        if lo == 0:
+            yield sel, 0.0, value
+            if problem.k >= 2 and inst.n >= 2:
+                pair = list(inst.diametrical_pair())
+                yield pair, None, objective(problem, pair)
+        if hi > 0:
+            yield sel, float(thresholds[hi]), value
 
 
 def _best_candidate(problem: Problem, algorithm: str, candidates: Iterable[_Candidate]) -> Solution:
-    """Evaluate every candidate and return the best; a later candidate replaces
-    an equal one.  ``candidates`` is consumed here, so the queries of the
-    greedy runs that lazily produce it count toward ``oracle_calls``."""
+    """The best candidate; a later candidate replaces an equal one.
+    ``candidates`` is consumed here, so the queries of the greedy runs that
+    lazily produce it count toward ``oracle_calls``."""
     start = problem.utility.query_count
     best = None
-    for sel, threshold in candidates:
-        value = objective(problem, sel)
+    for sel, threshold, value in candidates:
         if best is None or value[0] >= best[0][0]:
             best = value, threshold, sel
     (f, g, d), threshold, sel = best
@@ -139,20 +161,20 @@ def gist(problem: Problem) -> Solution:
     """Threshold-sweep search returning the best candidate by objective value.
 
     Candidates, in order: the d = 0 greedy (plain utility greedy), a
-    diametrical pair when k >= 2, and one greedy independent set per group of
-    thresholds in the schedule that no pairwise distance separates.  Each is
-    evaluated once; a later candidate replaces an equal one.  The reported
-    ``winning_threshold`` is 0.0 for the greedy pass, ``None`` for the
-    diametrical pair, and otherwise the winning group's largest threshold.
+    diametrical pair when k >= 2, and one greedy independent set per distinct
+    run over the schedule, from a sweep that asks the gains at a prefix the
+    runs share once.  Each is evaluated once; a later candidate replaces an
+    equal one.  The reported ``winning_threshold`` is 0.0 for the greedy pass,
+    ``None`` for the diametrical pair, and otherwise the winning run's largest.
     """
     label = "gist" if problem.schedule == "geometric" else "gist-exhaustive"
-    return _best_candidate(problem, label, _gist_candidates(problem))
+    return _best_candidate(problem, label, _sweep_candidates(problem, _thresholds(problem)))
 
 
 def simple_baseline(problem: Problem) -> Solution:
     """Best of the two extreme candidates: utility-only greedy and a
     diametrical pair (skipped when k < 2)."""
-    return _best_candidate(problem, "simple", _extreme_candidates(problem))
+    return _best_candidate(problem, "simple", _sweep_candidates(problem, np.empty(0)))
 
 
 def classic_greedy(problem: Problem) -> Solution:
@@ -204,10 +226,13 @@ def random_baseline(problem: Problem, seed: int = 0) -> Solution:
     rng = np.random.default_rng(seed)
     order = [int(v) for v in rng.permutation(inst.n)[: problem.k]]
     div_cur = inst.d_max
-    values = []
-    for t, v in enumerate(order):
-        if t >= 1:
-            div_cur = min(div_cur, float(inst.distance_row(v)[order[:t]].min()))
-        g = util.evaluate(order[: t + 1])
+    min_dist = np.full(inst.n, np.inf)  # dist(v, prefix); +inf while it is empty
+    prefix, values = [], []  # prefix: the points drawn so far, sorted
+    for v in order:
+        div_cur = min(div_cur, float(min_dist[v]))
+        np.minimum(min_dist, inst.distance_row(v), out=min_dist)
+        bisect.insort(prefix, v)
+        util._queries.add(1)
+        g = util._value(tuple(prefix))
         values.append((g + lam * div_cur, g, div_cur))
     return _best_prefix(problem, "random", start, order, values, seed)

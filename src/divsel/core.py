@@ -198,8 +198,8 @@ class Instance:
         if self._sorted_pair_distances is None:
             with self._lock:
                 if self._sorted_pair_distances is None:
-                    upper = ~np.tri(self.n, dtype=bool)  # i < j, in row-major order
-                    vals = np.sort(self.distance_matrix()[upper])
+                    m = self.distance_matrix()  # before the n^2 mask, so both are never built at once
+                    vals = np.sort(m[~np.tri(self.n, dtype=bool)])  # i < j, in row-major order
                     vals.setflags(write=False)
                     self._sorted_pair_distances = vals
         return self._sorted_pair_distances
@@ -249,9 +249,9 @@ class UtilityOracle:
     already known when a marginal ``g(S + v) - g(S)`` is requested.
 
     Subclasses need only implement ``_value``.  Faster ``_marginal`` and
-    ``_batch_marginal`` overrides must agree with the value difference; the
-    solvers reach both through the default state of ``_gain_state``.  All
-    parameters are immutable; the query counter is the only mutable state.
+    ``_batch_marginal`` overrides must agree with the value difference, each
+    gain independent of the batch; solvers reach both through ``_gain_state``.
+    Parameters are immutable; the query counter is the only mutable state.
     """
 
     kind: str = "abstract"
@@ -403,9 +403,9 @@ def div(instance: Instance, subset: Iterable[int]) -> float:
     s = canonical_subset(subset, instance.n)
     if len(s) <= 1:
         return instance.d_max
-    m = instance.distance_matrix()
-    sub = m[np.ix_(s, s)]
-    return float(sub[np.triu_indices(len(s), 1)].min())
+    sub = instance.distance_matrix()[np.ix_(s, s)]
+    np.fill_diagonal(sub, np.inf)
+    return float(sub.min())
 
 
 def objective(problem: Problem, subset: Iterable[int]) -> tuple[float, float, float]:
@@ -426,11 +426,16 @@ def distance_thresholds(problem: Problem) -> list[float]:
     half pairwise distances ``{dist(u, v)/2 : u != v}``.  Degenerate instances
     (fewer than two points, or diameter zero) yield an empty list.
     """
+    return _thresholds(problem).tolist()
+
+
+def _thresholds(problem: Problem) -> np.ndarray:
+    """:func:`distance_thresholds` as a float array."""
     inst = problem.instance
     if inst.n < 2 or inst.d_max == 0.0:
-        return []
+        return np.empty(0)
     if problem.schedule == "exhaustive":
-        return [float(t) for t in np.unique(inst.pair_distances_sorted()) / 2.0]
+        return np.unique(inst.pair_distances_sorted()) / 2.0
     eps = problem.epsilon
     base = eps * inst.d_max / 2.0
     out: list[float] = []
@@ -438,4 +443,4 @@ def distance_thresholds(problem: Problem) -> list[float]:
     while (1.0 + eps) ** i <= 2.0 / eps:
         out.append((1.0 + eps) ** i * base)
         i += 1
-    return out
+    return np.array(out)

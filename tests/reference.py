@@ -1,5 +1,6 @@
-"""Literal reference for GIST, the simple baseline and the classic greedy,
-read off the paper's pseudo-code with no shared runs, batching or caching.
+"""Literal reference for GIST, the simple baseline, the classic greedy and the
+random baseline, read off the paper's pseudo-code with no shared runs,
+batching or caching.
 
 Every threshold gets its own greedy run, every candidate is evaluated, and a
 later candidate replaces an equal one.  Gains come from the public single
@@ -11,20 +12,26 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from divsel import Problem, distance_thresholds
+
+
+def candidates_at(problem: Problem, selected: list[int], d: float) -> list[int]:
+    """The points outside ``selected`` at distance >= d from all of it."""
+    inst = problem.instance
+    return [v for v in range(inst.n)
+            if v not in selected and all(inst.dist(v, s) >= d for s in selected)]
 
 
 def greedy(problem: Problem, d: float) -> tuple[list[int], int]:
     """Greedy independent set at threshold ``d``, ties to the lowest index,
     and the number of candidates whose gain it asked for."""
-    inst, util = problem.instance, problem.utility
+    util = problem.utility
     selected: list[int] = []
     queries = 0
     while len(selected) < problem.k:
-        candidates = [
-            v for v in range(inst.n)
-            if v not in selected and all(inst.dist(v, s) >= d for s in selected)
-        ]
+        candidates = candidates_at(problem, selected, d)
         if not candidates:
             break
         queries += len(candidates)
@@ -69,6 +76,39 @@ def simple_baseline(problem: Problem) -> tuple:
 def gist(problem: Problem) -> tuple:
     thresholds = distance_thresholds(problem)
     return best(problem, extreme_candidates(problem) + [(greedy(problem, d)[0], d) for d in thresholds])
+
+
+def gist_queries(problem: Problem) -> int:
+    """The oracle queries of a gist that shares its runs' common prefixes.
+
+    Gains are asked once at each distinct prefix P of the runs at d = 0 and
+    at every threshold with |P| < k, for the candidates at the smallest
+    threshold whose run passes through P.  Then ``g`` is evaluated once per
+    distinct run (consecutive thresholds with equal runs share one) and once
+    for the diametrical pair when k >= 2.
+    """
+    thresholds = [0.0] + distance_thresholds(problem)
+    runs = [greedy(problem, d)[0] for d in thresholds]
+    lowest: dict[tuple[int, ...], float] = {}
+    for d, run in zip(thresholds, runs):
+        for size in range(min(len(run), problem.k - 1) + 1):
+            lowest.setdefault(tuple(run[:size]), d)
+    gains = sum(len(candidates_at(problem, list(p), d)) for p, d in lowest.items())
+    distinct_runs = 1 + sum(a != b for a, b in zip(runs, runs[1:]))
+    return gains + distinct_runs + (problem.k >= 2 and problem.instance.n >= 2)
+
+
+def random_baseline(problem: Problem, seed: int) -> tuple:
+    """The best prefix of a seeded random order of k points, the earliest on
+    ties; every prefix is evaluated."""
+    order = [int(v) for v in np.random.default_rng(seed).permutation(problem.instance.n)]
+    prefixes = []
+    for size in range(1, problem.k + 1):
+        subset = order[:size]
+        g = problem.utility.evaluate(subset)
+        d = div(problem, subset)
+        prefixes.append((tuple(sorted(subset)), g + problem.lam * d, g, d, None))
+    return max(prefixes, key=lambda p: p[1])
 
 
 def classic_greedy(problem: Problem) -> tuple:

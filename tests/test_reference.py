@@ -1,7 +1,7 @@
 """The solvers against the literal reference in ``reference.py``:
 selections, f/g/div and the winning threshold must match exactly, on random
-and degenerate inputs, and every greedy run must count one query per
-candidate it scores."""
+and degenerate inputs.  Every greedy run must count one query per candidate
+it scores, and gist one per candidate at each distinct prefix of its runs."""
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from divsel import (
     distance_thresholds,
     gist,
     greedy_independent_set,
+    random_baseline,
     simple_baseline,
 )
 from support import make_utility, random_metric_instance, sparse_coverage_utility
@@ -104,3 +105,21 @@ def test_greedy_counts_one_query_per_scored_candidate(instance_kind):
             before = util.query_count
             assert greedy_independent_set(inst, util, d, problem.k) == expected, (label, d)
             assert util.query_count - before == queries, (label, d)
+
+
+@pytest.mark.parametrize("instance_kind", sorted(INSTANCES))
+def test_random_baseline_matches_literal_reference(instance_kind):
+    for problem, label in problems(instance_kind):
+        if problem.schedule == "geometric":  # the random baseline has no schedule
+            for seed in (0, 7):
+                sol = random_baseline(problem, seed)
+                before = problem.utility.query_count
+                expected = reference.random_baseline(problem, seed)
+                queries = problem.utility.query_count - before
+                assert (outcome(sol), sol.seed, sol.oracle_calls) == (expected, seed, queries), label
+
+
+@pytest.mark.parametrize("instance_kind", sorted(INSTANCES))
+def test_gist_counts_gains_once_per_distinct_prefix(instance_kind):
+    for problem, label in problems(instance_kind):
+        assert gist(problem).oracle_calls == reference.gist_queries(problem), label
