@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, algorithms, formats, generators, oracle
-from .core import Instance, Problem, Solution
+from .core import Instance, Problem, Solution, _mirror_upper
 from .errors import FormatError, InputError, SizeGuardError
 from .utilities import LinearUtility, MarginSimilarityUtility
 
@@ -376,9 +376,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                     "supply --edges for larger inputs"
                 )
             sim = unit @ unit.T
-            sim = np.triu(sim, 1)
-            sim = sim + sim.T
             np.clip(sim, -1.0, 1.0, out=sim)
+            _mirror_upper(sim)
+            sim += 0.0  # a zero product of either sign becomes +0.0
             utility = MarginSimilarityUtility(
                 uncertainty, similarity=sim, alpha_s=alpha_s, beta_s=beta_s
             )

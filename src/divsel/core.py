@@ -45,6 +45,15 @@ def canonical_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     return s
 
 
+def _mirror_upper(d: np.ndarray) -> None:
+    """Mirror the strict upper triangle of ``d`` and zero the diagonal, in place by row tiles."""
+    for i0 in range(0, len(d), 256):
+        d[i0:i0 + 256, :i0] = d[:i0, i0:i0 + 256].T
+        tile = d[i0:i0 + 256, i0:i0 + 256]
+        np.copyto(tile, tile.T, where=np.tri(len(tile), k=-1, dtype=bool))
+    np.fill_diagonal(d, 0.0)
+
+
 class Instance:
     """Ground set of ``n`` points together with a metric.
 
@@ -56,9 +65,9 @@ class Instance:
       normalized on construction; note this distance may violate the triangle
       inequality, which is why the triangle check applies to matrices only).
 
-    The full pairwise distance matrix is materialized lazily and cached; one
-    above ``DENSE_MAX_BYTES`` raises :class:`InputError`.  Instances are
-    immutable after construction and safe to share across threads.
+    The full pairwise distance matrix is materialized lazily and cached (above
+    ``DENSE_MAX_BYTES`` it raises :class:`InputError`); ``d_max`` is its maximum.
+    Instances are immutable after construction and safe to share across threads.
     """
 
     def __init__(
@@ -75,7 +84,7 @@ class Instance:
         self._points: np.ndarray | None = None
         self._pairwise: np.ndarray | None = None
         self._sorted_pair_distances: np.ndarray | None = None
-        self._d_max: float | None = None
+        self._diameter: tuple[float, tuple[int, int]] | None = None
         self._lock = threading.RLock()
         self.max_unit_deviation = 0.0
 
@@ -175,11 +184,11 @@ class Instance:
                 if self._pairwise is None:
                     if self.metric == "euclidean":
                         d = squareform(pdist(self._points))
-                    else:  # cosine; dist = 1 - dot on unit rows
-                        d = 1.0 - self._points @ self._points.T
-                        d = np.triu(d, 1)
-                        d = d + d.T  # exact symmetry
+                    else:  # cosine; dist = 1 - dot on unit rows, in place
+                        d = self._points @ self._points.T
+                        np.subtract(1.0, d, out=d)
                         np.maximum(d, 0.0, out=d)
+                        _mirror_upper(d)  # exact symmetry
                     d.setflags(write=False)
                     self._pairwise = d
         return self._pairwise
@@ -194,7 +203,7 @@ class Instance:
         return self.distance_matrix()[i]
 
     def pair_distances_sorted(self) -> np.ndarray:
-        """All n*(n-1)/2 pairwise distances, sorted ascending (cached)."""
+        """All n*(n-1)/2 pairwise distances, sorted ascending (cached; exhaustive schedule only)."""
         if self._sorted_pair_distances is None:
             with self._lock:
                 if self._sorted_pair_distances is None:
@@ -206,20 +215,26 @@ class Instance:
 
     @property
     def d_max(self) -> float:
-        """Diameter of the ground set; 0 when there are fewer than two points."""
-        if self._d_max is None:
-            vals = self.pair_distances_sorted()
-            self._d_max = float(vals[-1]) if vals.size else 0.0
-        return self._d_max
+        """Diameter of the ground set, the matrix maximum (cached); 0 below two points."""
+        if self._diameter is None:
+            with self._lock:
+                if self._diameter is None:
+                    m = self.distance_matrix()  # read-only: np.argmax(m) would copy it
+                    # symmetric with a zero diagonal: the first row-major maximum has i < j
+                    i = int(np.argmax(m.max(axis=1)))
+                    if m[i].max() > 0.0:
+                        self._diameter = (float(m[i].max()), (i, int(np.argmax(m[i]))))
+                    else:  # no two points apart: zero with the sign the sorted pairs end with
+                        vals = self.pair_distances_sorted()
+                        self._diameter = (float(vals[-1]) if vals.size else 0.0, (0, 1))
+        return self._diameter[0]
 
     def diametrical_pair(self) -> tuple[int, int]:
-        """Lexicographically smallest pair (i < j) with dist(i, j) == d_max."""
+        """Lexicographically smallest pair (i < j) at distance d_max; (0, 1) if d_max is 0."""
         if self.n < 2:
             raise InputError("diametrical pair requires at least two points")
-        if self.d_max == 0.0:
-            return 0, 1
-        # symmetric with a zero diagonal, so the first row-major hit has i < j
-        return divmod(int(np.argmax(self.distance_matrix() == self.d_max)), self.n)
+        self.d_max  # fills the cached pair
+        return self._diameter[1]
 
 
 class QueryCounter:

@@ -1,6 +1,7 @@
 """Literal reference for GIST, the simple baseline, the classic greedy and the
 random baseline, read off the paper's pseudo-code with no shared runs,
-batching or caching.
+batching or caching; and for the dense matrices and the diameter, built with
+full-size temporaries and a sort.
 
 Every threshold gets its own greedy run, every candidate is evaluated, and a
 later candidate replaces an equal one.  Gains come from the public single
@@ -15,6 +16,35 @@ import itertools
 import numpy as np
 
 from divsel import Problem, distance_thresholds
+
+
+def cosine_distance_matrix(points) -> np.ndarray:
+    """``1 - <u, v>`` on the normalized rows: the strict upper triangle summed
+    with its transpose for exact symmetry, then clamped at 0."""
+    p = np.asarray(points, dtype=np.float64)
+    p = p / np.linalg.norm(p, axis=1)[:, None]
+    d = np.triu(1.0 - p @ p.T, 1)
+    return np.maximum(d + d.T, 0.0)
+
+
+def similarity_matrix(unit) -> np.ndarray:
+    """``<u, v>`` on unit rows, symmetrized the same way, clipped to [-1, 1],
+    with a zero diagonal."""
+    s = np.triu(unit @ unit.T, 1)
+    return np.clip(s + s.T, -1.0, 1.0)
+
+
+def diameter(matrix: np.ndarray) -> tuple[float, tuple[int, int] | None]:
+    """The largest of the sorted pair distances (0 below two points) and the
+    lexicographically first pair (i < j) at it, (0, 1) when that is 0."""
+    n = len(matrix)
+    if n < 2:
+        return 0.0, None
+    d_max = float(np.sort(matrix[np.triu_indices(n, 1)])[-1])
+    if d_max == 0.0:
+        return d_max, (0, 1)
+    return d_max, next((i, j) for i, j in itertools.combinations(range(n), 2)
+                       if matrix[i, j] == d_max)
 
 
 def candidates_at(problem: Problem, selected: list[int], d: float) -> list[int]:

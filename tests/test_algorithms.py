@@ -297,3 +297,22 @@ def test_gist_oracle_call_budget():
         n_thresholds = len(distance_thresholds(problem))
         bound = problem.instance.n * problem.k * (n_thresholds + 2)
         assert sol.oracle_calls <= bound
+
+
+def test_only_the_exhaustive_schedule_sorts_the_pairs(monkeypatch):
+    rng = np.random.default_rng(11)
+    points, weights = rng.standard_normal((12, 4)), rng.uniform(0, 1, 12)
+
+    def fresh(schedule="geometric"):
+        return Problem(Instance.from_cosine(points), LinearUtility(weights), lam=0.5, k=3,
+                       schedule=schedule)
+
+    def refuse(self):
+        raise AssertionError("pair sort requested")
+
+    monkeypatch.setattr(Instance, "pair_distances_sorted", refuse)
+    for solve in (gist, simple_baseline, classic_greedy, random_baseline, brute_force_opt):
+        solve(fresh())
+    assert div(fresh().instance, [0]) > 0.0
+    with pytest.raises(AssertionError, match="pair sort requested"):
+        gist(fresh("exhaustive"))

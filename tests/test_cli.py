@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from divsel import CoverageUtility, Instance, LinearUtility, MarginSimilarityUtility, Problem
+from divsel import cli
 from divsel.cli import CSV_COLUMNS, _guarantee_threshold, main
 
 
@@ -250,6 +252,29 @@ def test_ingest_edge_file(tmp_path):
     assert run("ingest", "--embeddings", emb, "--utility", "margin_similarity",
                "--edges", edges, "--k", 3, "--out", out) == 0
     assert len(json.loads(out.read_text())["selected"]) <= 3
+
+
+def test_ingest_dense_similarity_matches_literal_reference(tmp_path, monkeypatch):
+    # axis-aligned +-1 rows give many exactly zero products; a BLAS may sign them
+    # either way, and the reference's sum makes them +0.0
+    rng = np.random.default_rng(9)
+    vecs = rng.standard_normal((300, 5))
+    vecs[:150] = 0.0
+    vecs[np.arange(150), rng.integers(0, 5, 150)] = rng.choice([-1.0, 1.0], 150)
+    write_embeddings(tmp_path / "emb.jsonl", [
+        {"embedding": v.tolist(), "uncertainty": 0.5} for v in vecs
+    ])
+    seen = []
+
+    def spy(uncertainty, similarity, **kwargs):
+        seen.append(similarity)
+        return MarginSimilarityUtility(uncertainty, similarity=similarity, **kwargs)
+
+    monkeypatch.setattr(cli, "MarginSimilarityUtility", spy)
+    assert run("ingest", "--embeddings", tmp_path / "emb.jsonl", "--utility",
+               "margin_similarity", "--k", 3, "--out", tmp_path / "sel.json") == 0
+    unit = vecs / np.linalg.norm(vecs, axis=1)[:, None]
+    assert seen[0].tobytes() == reference.similarity_matrix(unit).tobytes()
 
 
 def test_ingest_dimension_mismatch_is_parse_error(tmp_path):

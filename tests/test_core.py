@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from divsel import (
     greedy_independent_set,
     objective,
 )
-from divsel.core import DENSE_MAX_BYTES
+from divsel.core import DENSE_MAX_BYTES, _mirror_upper
 from support import METRIC_STYLES, random_metric_instance
 
 
@@ -99,6 +100,33 @@ def test_diametrical_pair_is_lexicographically_smallest():
     duplicates = Instance.from_euclidean(np.zeros((4, 2)))
     assert duplicates.d_max == 0.0
     assert duplicates.diametrical_pair() == (0, 1)
+    # d_max = 3 at (1, 4), (1, 5), (2, 3), (3, 4) and their mirrors, none in row 0
+    ties = np.ones((6, 6)) - np.eye(6)
+    for i, j in [(3, 4), (2, 3), (1, 5), (1, 4)]:
+        ties[i, j] = ties[j, i] = 3.0
+    inst = Instance.from_matrix(ties)
+    assert (inst.d_max, inst.diametrical_pair()) == (3.0, (1, 4))
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+def test_mirror_upper_copies_the_upper_triangle_of_any_matrix(n):
+    d = np.random.default_rng(n).standard_normal((n, n))  # not symmetric
+    upper = np.triu(d, 1)
+    _mirror_upper(d)
+    assert d.tobytes() == (upper + upper.T).tobytes()
+
+
+def test_cosine_matrix_and_diameter_are_built_in_place():
+    n = 1000
+    inst = Instance.from_cosine(np.random.default_rng(0).standard_normal((n, 16)))
+    tracemalloc.start()
+    try:
+        inst.distance_matrix()
+        inst.diametrical_pair()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
 
 
 def test_dense_matrix_above_byte_budget_is_refused():

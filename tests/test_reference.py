@@ -1,7 +1,9 @@
 """The solvers against the literal reference in ``reference.py``:
 selections, f/g/div and the winning threshold must match exactly, on random
 and degenerate inputs.  Every greedy run must count one query per candidate
-it scores, and gist one per candidate at each distinct prefix of its runs."""
+it scores, and gist one per candidate at each distinct prefix of its runs.
+The cosine matrix, the diameter and the diametrical pair must match the
+reference's bit for bit."""
 
 import numpy as np
 import pytest
@@ -123,3 +125,32 @@ def test_random_baseline_matches_literal_reference(instance_kind):
 def test_gist_counts_gains_once_per_distinct_prefix(instance_kind):
     for problem, label in problems(instance_kind):
         assert gist(problem).oracle_calls == reference.gist_queries(problem), label
+
+
+def cosine_points(rng, n, dim, kind):
+    """Gaussian rows with duplicates and antipodes, or axis-aligned rows of
+    varied length and sign, which tie many pairs at exactly 2."""
+    if kind == "ties":
+        p = np.zeros((n, dim))
+        p[np.arange(n), rng.integers(0, dim, n)] = rng.choice([-3.0, -1.0, 0.5, 2.0], n)
+        return p
+    p = rng.standard_normal((n, dim))
+    p[1::4] = p[0::4][: len(p[1::4])]
+    p[2::4] = -2.0 * p[0::4][: len(p[2::4])]
+    return p
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "ties"])
+@pytest.mark.parametrize("dim", [1, 64])
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+def test_cosine_matrix_and_diameter_match_literal_reference(n, dim, kind):
+    points = cosine_points(np.random.default_rng(10 * n + dim), n, dim, kind)
+    inst = Instance.from_cosine(points)
+    expected = reference.cosine_distance_matrix(points)
+    assert inst.distance_matrix().tobytes() == expected.tobytes()
+    d_max, pair = reference.diameter(expected)
+    assert inst.d_max.hex() == d_max.hex()
+    if n >= 2:
+        assert inst.diametrical_pair() == pair
+    if n >= 255 and kind == "ties":
+        assert np.count_nonzero(expected == d_max) >= 4  # two or more pairs tie at d_max
