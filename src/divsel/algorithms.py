@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import Instance, Problem, Solution, UtilityOracle, _thresholds, objective
 from .errors import InputError
+from .utilities import ConstantZeroUtility, LinearUtility
 
 #: An offer: selection, reported threshold (0.0 at d = 0, None for the pair), (f, g, div).
 _Candidate = tuple[list[int], float | None, tuple[float, float, float]]
@@ -44,16 +45,20 @@ def _threshold_tree(
     takes the best candidate it still has, in a branch with its own gain
     state, or its run ends at S.  Yields ``(selection in order, lo, hi,
     run_div)`` by ascending ``lo``, ``run_div`` being the selection's minimum
-    distance (+inf below two points).
+    distance (+inf below two points).  Exact linear and constant-zero
+    utilities (not subclasses) are asked once per point, at the root.
     """
     # pending paths: (S, lo, hi, dist(v, S) or +inf, candidates at thresholds[lo], run_div)
     n = instance.n
     paths = [([], 0, len(thresholds) - 1, np.full(n, np.inf), np.arange(n), math.inf)]
+    fixed = None  # exact linear or zero gains do not depend on S: ask each point's once
+    if type(utility) in (LinearUtility, ConstantZeroUtility):
+        fixed = utility._gain_state().gains(np.arange(n))
     while paths:
         sel, lo, hi, min_dist, cand, run_div = paths.pop()
-        state = utility._gain_state(sel) if cand.size and len(sel) < k else None
+        state = utility._gain_state(sel) if fixed is None and cand.size and len(sel) < k else None
         while len(sel) < k and cand.size:
-            gains = state.gains(cand)
+            gains = fixed[cand] if state is None else state.gains(cand)
             t = int(cand[np.argmax(gains)])
             top = last = min(hi, int(np.searchsorted(thresholds, min_dist[t], "right")) - 1)
             at = len(paths)  # each higher branch goes below the lower ones: they pop ascending
@@ -75,7 +80,8 @@ def _threshold_tree(
             cand, hi, run_div = cand[keep], top, min(run_div, float(min_dist[t]))
             np.minimum(min_dist, row, out=min_dist)
             sel.append(t)
-            state.add(t)
+            if state is not None:
+                state.add(t)
         yield sel, lo, hi, run_div
 
 
@@ -89,6 +95,8 @@ def greedy_independent_set(
     selected so far, until ``k`` points or no candidate remains (then a maximal
     independent set of the distance-< d intersection graph).  Returns indices
     in selection order; the one-threshold case of the sweep :func:`gist` runs.
+    It counts one query per candidate scored at each step, or n in all for an
+    exact linear or constant-zero utility, whose gains never change.
     """
     if k < 1:
         raise InputError("budget k must be >= 1")
@@ -163,9 +171,11 @@ def gist(problem: Problem) -> Solution:
     Candidates, in order: the d = 0 greedy (plain utility greedy), a
     diametrical pair when k >= 2, and one greedy independent set per distinct
     run over the schedule, from a sweep that asks the gains at a prefix the
-    runs share once.  Each is evaluated once; a later candidate replaces an
-    equal one.  The reported ``winning_threshold`` is 0.0 for the greedy pass,
-    ``None`` for the diametrical pair, and otherwise the winning run's largest.
+    runs share once (an exact linear or constant-zero utility's only once per
+    point, for the whole sweep).  Each is evaluated once; a later candidate
+    replaces an equal one.  The reported ``winning_threshold`` is 0.0 for the
+    greedy pass, ``None`` for the diametrical pair, and otherwise the winning
+    run's largest.
     """
     label = "gist" if problem.schedule == "geometric" else "gist-exhaustive"
     return _best_candidate(problem, label, _sweep_candidates(problem, _thresholds(problem)))

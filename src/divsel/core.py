@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import InputError
 
@@ -182,7 +181,8 @@ class Instance:
                 raise InputError(f"dense distance matrix for n={self.n} exceeds {DENSE_MAX_BYTES} B")
             with self._lock:
                 if self._pairwise is None:
-                    if self.metric == "euclidean":
+                    if self.metric == "euclidean":  # scipy's import is costly: only here
+                        from scipy.spatial.distance import pdist, squareform
                         d = squareform(pdist(self._points))
                     else:  # cosine; dist = 1 - dot on unit rows, in place
                         d = self._points @ self._points.T
@@ -261,7 +261,9 @@ class UtilityOracle:
     Accounting convention: every call to :meth:`evaluate` and every marginal
     gain (single or batched, one per candidate) counts as one value-oracle
     query, matching the usual oracle-complexity model in which ``g(S)`` is
-    already known when a marginal ``g(S + v) - g(S)`` is requested.
+    already known when a marginal ``g(S + v) - g(S)`` is requested.  Solvers
+    ask an exact :class:`LinearUtility` or :class:`ConstantZeroUtility` (not a
+    subclass) for each point's gain once per sweep, since it never changes.
 
     Subclasses need only implement ``_value``.  Faster ``_marginal`` and
     ``_batch_marginal`` overrides must agree with the value difference, each
@@ -450,7 +452,10 @@ def _thresholds(problem: Problem) -> np.ndarray:
     if inst.n < 2 or inst.d_max == 0.0:
         return np.empty(0)
     if problem.schedule == "exhaustive":
-        return np.unique(inst.pair_distances_sorted()) / 2.0
+        vals = inst.pair_distances_sorted()
+        if np.signbit(vals).any():  # -0.0 beside +0.0: keep the zero np.unique picks
+            return np.unique(vals) / 2.0
+        return vals[np.concatenate(([True], vals[1:] != vals[:-1]))] / 2.0
     eps = problem.epsilon
     base = eps * inst.d_max / 2.0
     out: list[float] = []

@@ -5,8 +5,9 @@ full-size temporaries and a sort.
 
 Every threshold gets its own greedy run, every candidate is evaluated, and a
 later candidate replaces an equal one.  Gains come from the public single
-``marginal`` and distances from ``Instance.dist``.  Slow by design: only for
-small test problems.
+``marginal`` and distances from ``Instance.dist``.  The query counts expect
+an exact linear or constant-zero utility, whose gains never change, to be
+asked once per point in all.  Slow by design: only for small test problems.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from divsel import Problem, distance_thresholds
+from divsel import ConstantZeroUtility, LinearUtility, Problem, distance_thresholds
 
 
 def cosine_distance_matrix(points) -> np.ndarray:
@@ -47,6 +48,11 @@ def diameter(matrix: np.ndarray) -> tuple[float, tuple[int, int] | None]:
                        if matrix[i, j] == d_max)
 
 
+def fixed_gains(problem: Problem) -> bool:
+    """Whether the utility is exactly linear or constant zero (not a subclass)."""
+    return type(problem.utility) in (LinearUtility, ConstantZeroUtility)
+
+
 def candidates_at(problem: Problem, selected: list[int], d: float) -> list[int]:
     """The points outside ``selected`` at distance >= d from all of it."""
     inst = problem.instance
@@ -56,7 +62,8 @@ def candidates_at(problem: Problem, selected: list[int], d: float) -> list[int]:
 
 def greedy(problem: Problem, d: float) -> tuple[list[int], int]:
     """Greedy independent set at threshold ``d``, ties to the lowest index,
-    and the number of candidates whose gain it asked for."""
+    and the number of gain queries: one per candidate scored, or n for fixed
+    gains."""
     util = problem.utility
     selected: list[int] = []
     queries = 0
@@ -67,7 +74,7 @@ def greedy(problem: Problem, d: float) -> tuple[list[int], int]:
         queries += len(candidates)
         # max returns the first maximal candidate, i.e. the lowest index
         selected.append(max(candidates, key=lambda v: util.marginal(v, selected)))
-    return selected, queries
+    return selected, problem.instance.n if fixed_gains(problem) else queries
 
 
 def div(problem: Problem, subset: list[int]) -> float:
@@ -115,7 +122,8 @@ def gist_queries(problem: Problem) -> int:
     at every threshold with |P| < k, for the candidates at the smallest
     threshold whose run passes through P.  Then ``g`` is evaluated once per
     distinct run (consecutive thresholds with equal runs share one) and once
-    for the diametrical pair when k >= 2.
+    for the diametrical pair when k >= 2.  Fixed gains are asked once per
+    point in all: n + distinct runs + pair.
     """
     thresholds = [0.0] + distance_thresholds(problem)
     runs = [greedy(problem, d)[0] for d in thresholds]
@@ -123,7 +131,8 @@ def gist_queries(problem: Problem) -> int:
     for d, run in zip(thresholds, runs):
         for size in range(min(len(run), problem.k - 1) + 1):
             lowest.setdefault(tuple(run[:size]), d)
-    gains = sum(len(candidates_at(problem, list(p), d)) for p, d in lowest.items())
+    gains = problem.instance.n if fixed_gains(problem) else sum(
+        len(candidates_at(problem, list(p), d)) for p, d in lowest.items())
     distinct_runs = 1 + sum(a != b for a, b in zip(runs, runs[1:]))
     return gains + distinct_runs + (problem.k >= 2 and problem.instance.n >= 2)
 

@@ -1,7 +1,9 @@
 """The solvers against the literal reference in ``reference.py``:
 selections, f/g/div and the winning threshold must match exactly, on random
 and degenerate inputs.  Every greedy run must count one query per candidate
-it scores, and gist one per candidate at each distinct prefix of its runs.
+it scores, and gist one per candidate at each distinct prefix of its runs;
+an exact linear or constant-zero utility only one per point in all (a
+subclass of one counts like any other utility).
 The cosine matrix, the diameter and the diametrical pair must match the
 reference's bit for bit."""
 
@@ -51,6 +53,10 @@ def margin_similarity(rng, n, dense):
     return MarginSimilarityUtility(uncertainty, edges=edges)
 
 
+class SubclassedLinear(LinearUtility):
+    """A linear utility by subclass: the solvers may not assume its gains are fixed."""
+
+
 UTILITIES = {
     "coverage": lambda rng, n, k: make_utility("coverage", rng, n, k),
     "budget": lambda rng, n, k: make_utility("budget", rng, n, k),
@@ -60,6 +66,7 @@ UTILITIES = {
     "margin-dense": lambda rng, n, k: margin_similarity(rng, n, dense=True),
     "margin-edges": lambda rng, n, k: margin_similarity(rng, n, dense=False),
     "sparse-coverage": lambda rng, n, k: sparse_coverage_utility(rng, n),
+    "linear-subclass": lambda rng, n, k: SubclassedLinear(rng.uniform(0.0, 1.0, n)),
 }
 
 
@@ -154,3 +161,28 @@ def test_cosine_matrix_and_diameter_match_literal_reference(n, dim, kind):
         assert inst.diametrical_pair() == pair
     if n >= 255 and kind == "ties":
         assert np.count_nonzero(expected == d_max) >= 4  # two or more pairs tie at d_max
+
+
+def signed_zero_matrix(rng, n):
+    """Distances from {-0.0, +0.0, 1, 2} with a +0.0 diagonal: both zeros
+    off the diagonal, so a dedup may keep either sign."""
+    m = np.triu(rng.choice([-0.0, 0.0, 0.0, 1.0, 2.0], (n, n)), 1)
+    m = np.where(np.tri(n, k=-1, dtype=bool), m.T, m)
+    np.fill_diagonal(m, 0.0)
+    return m
+
+
+def test_exhaustive_thresholds_match_unique_half_pairs():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        duplicates = rng.integers(0, 3, (n, 2)).astype(float)
+        duplicates[1] = duplicates[0]
+        for inst in (Instance.from_matrix(signed_zero_matrix(rng, n)),
+                     Instance.from_euclidean(duplicates), cosine_instance(rng, n)):
+            problem = Problem(inst, ConstantZeroUtility(n), lam=1.0, k=1, schedule="exhaustive")
+            # np.unique's choice between -0.0 and +0.0 depends on its input's order
+            pairs = np.sort(inst.distance_matrix()[np.triu_indices(n, 1)])
+            expected = np.unique(pairs) / 2.0 if inst.d_max > 0 else np.empty(0)
+            got = np.array(distance_thresholds(problem))
+            assert got.tobytes() == expected.tobytes(), (seed, inst.metric)
