@@ -8,7 +8,10 @@ Subcommands:
 * ``verify`` -- compare every algorithm against the brute-force optimum and
   flag approximation-guarantee violations;
 * ``ingest`` -- read a JSON-lines embeddings file and select a subset under
-  the cosine metric.
+  cosine distance, always (no ``--metric`` flag).
+
+``solve``, ``sweep`` and ``verify`` share ``--instance``, ``--utility``,
+``--lam``, ``--epsilon`` and ``--validate-triangle``.
 
 Exit codes: 0 success, 2 parse failure, 3 invalid parameters, 4 exact-solver
 size guard, 5 guarantee violation found by ``verify``.
@@ -19,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import math
 import sys
 import time
@@ -38,7 +40,24 @@ EXIT_PARAMS = 3
 EXIT_SIZE_GUARD = 4
 EXIT_GUARANTEE = 5
 
-ALGORITHM_NAMES = ("gist", "gist-exhaustive", "simple", "greedy", "random")
+#: Exit code of each error type ``main`` reports; the first match wins, so a
+#: ``FormatError`` (a ``ValueError``) is a parse failure.
+EXIT_CODES = {
+    FormatError: EXIT_PARSE,
+    SizeGuardError: EXIT_SIZE_GUARD,
+    ValueError: EXIT_PARAMS,  # InputError included
+    OSError: EXIT_PARSE,
+}
+
+#: CLI solver name -> ``run(problem, seed)``.  Each entry looks its solver up in
+#: ``algorithms`` when called, so that wrappers installed there later are seen.
+SOLVERS = {
+    "gist": lambda problem, seed: algorithms.gist(problem),
+    "gist-exhaustive": lambda problem, seed: algorithms.gist(problem.with_schedule("exhaustive")),
+    "simple": lambda problem, seed: algorithms.simple_baseline(problem),
+    "greedy": lambda problem, seed: algorithms.classic_greedy(problem),
+    "random": lambda problem, seed: algorithms.random_baseline(problem, seed),
+}
 
 #: Fixed column set of results CSV files.
 CSV_COLUMNS = (
@@ -61,61 +80,55 @@ DENSE_SIMILARITY_MAX_N = 5000
 
 
 def _sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    # read whole: parsing the same file already held more than its bytes in memory
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _run_named(name: str, problem: Problem, seed: int) -> Solution:
-    if name == "gist":
-        return algorithms.gist(problem)
-    if name == "gist-exhaustive":
-        return algorithms.gist(problem.with_schedule("exhaustive"))
-    if name == "simple":
-        return algorithms.simple_baseline(problem)
-    if name == "greedy":
-        return algorithms.classic_greedy(problem)
-    if name == "random":
-        return algorithms.random_baseline(problem, seed)
-    raise InputError(f"unknown algorithm {name!r}; expected one of {ALGORITHM_NAMES} or 'all'")
+def _solver_names(names: list[str]) -> list[str]:
+    for name in names:
+        if name not in SOLVERS:
+            raise InputError(f"unknown algorithm {name!r}; expected one of {tuple(SOLVERS)}")
+    return names
 
 
-def _timed_run(name: str, problem: Problem, seed: int, instance_hash: str) -> dict:
-    t0 = time.perf_counter()
-    sol = _run_named(name, problem, seed)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+def _problem(
+    args: argparse.Namespace, instance: Instance, utility_doc, k: int, schedule: str
+) -> Problem:
+    """The problem of the shared flags, with the utility document bound to budget ``k``."""
+    utility = formats.utility_from_dict(utility_doc, bind_k=k)
+    return Problem(instance, utility, args.lam, k, args.epsilon, schedule)
+
+
+def _record(sol: Solution, elapsed_ms: float) -> dict:
     return {
         "algorithm": sol.algorithm,
-        "k": problem.k,
-        "seed": seed,
         "f": sol.f_value,
         "g": sol.g_value,
         "div": sol.div_value,
         "oracle_calls": sol.oracle_calls,
         "wall_time_ms": round(elapsed_ms, 3),
         "threshold": sol.winning_threshold,
-        "instance_hash": instance_hash,
         "selected": list(sol.selected),
     }
 
 
-def _write_csv(records: list[dict], path: str | Path) -> None:
+def _timed_run(name: str, problem: Problem, seed: int, instance_hash: str) -> dict:
+    t0 = time.perf_counter()
+    sol = SOLVERS[name](problem, seed)
+    rec = _record(sol, (time.perf_counter() - t0) * 1000.0)
+    rec.update(k=problem.k, seed=seed, instance_hash=instance_hash)
+    return rec
+
+
+def _write_records(records: list[dict], path: str | Path, fmt: str) -> None:
+    if fmt == "json":
+        formats._write_json(records, path)
+        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rec in records:
             writer.writerow(["" if rec[col] is None else rec[col] for col in CSV_COLUMNS])
-
-
-def _write_records(records: list[dict], path: str | Path, fmt: str) -> None:
-    if fmt == "csv":
-        _write_csv(records, path)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(records, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -137,24 +150,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
     family = args.family
     if family == "gaussian":
         gen = generators.gen_gaussian(args.n, args.dim, args.seed)
-        utility_doc = {
-            "kind": "budget_additive",
-            "weights": gen.params["weights"].tolist(),
-            "alpha": args.alpha,
-            "beta": args.beta,
-            # no "k": the cap binds to the solve-time budget
-        }
-        lam = 1.0 - args.alpha
         parameters = {"n": args.n, "dim": args.dim, "alpha": args.alpha, "beta": args.beta}
     elif family == "greedy-hard":
         gen = generators.gen_greedy_hard(args.n, args.k, args.eps_inst)
-        utility_doc = formats.utility_to_dict(gen.utility)
-        lam = gen.lam
         parameters = {"n": args.n, "k": args.k, "eps_inst": args.eps_inst}
     elif family == "nonsubmodular":
         gen = generators.gen_nonsubmodular_example(args.monotone_variant)
-        utility_doc = formats.utility_to_dict(gen.utility)
-        lam = gen.lam
         parameters = {"monotone_variant": args.monotone_variant}
     elif family in ("clique-reduction", "independent-set-reduction"):
         graph = formats.load_graph(args.graph)
@@ -164,17 +165,25 @@ def cmd_gen(args: argparse.Namespace) -> int:
             else generators.gen_independent_set_reduction
         )
         gen = build(graph, args.alpha, args.k)
-        utility_doc = formats.utility_to_dict(gen.utility)
-        lam = gen.lam
         parameters = {"alpha": args.alpha, "k": args.k, "graph": str(args.graph)}
     elif family == "cover-reduction":
         family_sets, groups = formats.load_set_family(args.set_family)
         gen = generators.gen_cover_reduction(family_sets, groups, args.lambda_override)
-        utility_doc = formats.utility_to_dict(gen.utility)
-        lam = gen.lam
         parameters = {"set_family": str(args.set_family), "lambda_override": args.lambda_override}
     else:
         raise InputError(f"unknown family {family!r}")
+    if gen.utility is None:  # gaussian
+        utility_doc = {
+            "kind": "budget_additive",
+            "weights": gen.params["weights"].tolist(),
+            "alpha": args.alpha,
+            "beta": args.beta,
+            # no "k": the cap binds to the solve-time budget
+        }
+        lam = 1.0 - args.alpha
+    else:
+        utility_doc = formats.utility_to_dict(gen.utility)
+        lam = gen.lam
 
     provenance = {
         "family": family,
@@ -200,22 +209,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    names = list(ALGORITHM_NAMES) if args.algorithm == "all" else [args.algorithm]
-    for name in names:
-        if name not in ALGORITHM_NAMES:
-            raise InputError(
-                f"unknown algorithm {name!r}; expected one of {ALGORITHM_NAMES} or 'all'"
-            )
+    names = list(SOLVERS) if args.algorithm == "all" else _solver_names([args.algorithm])
     instance = formats.load_instance(args.instance, validate_triangle=args.validate_triangle)
-    utility = formats.load_utility(args.utility, bind_k=args.k)
-    problem = Problem(
-        instance=instance,
-        utility=utility,
-        lam=args.lam,
-        k=args.k,
-        epsilon=args.epsilon,
-        schedule=args.schedule,
-    )
+    utility_doc = formats._read_json(args.utility)
+    problem = _problem(args, instance, utility_doc, args.k, args.schedule)
     instance_hash = _sha256(args.instance)
     records = [_timed_run(name, problem, args.seed, instance_hash) for name in names]
     _write_records(records, args.out, args.format)
@@ -224,12 +221,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    names = sorted(set(args.algorithms.split(",")))
-    for name in names:
-        if name not in ALGORITHM_NAMES:
-            raise InputError(
-                f"unknown algorithm {name!r}; expected a comma list from {ALGORITHM_NAMES}"
-            )
+    names = _solver_names(sorted(set(args.algorithms.split(","))))
     k_list = sorted(set(_parse_int_list(args.k_list, "--k-list")))
     seeds = sorted(set(_parse_int_list(args.seeds, "--seeds")))
     instance = formats.load_instance(args.instance, validate_triangle=args.validate_triangle)
@@ -238,20 +230,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     records = []
     for k in k_list:
-        utility = formats.utility_from_dict(utility_doc, bind_k=k)
-        problem = Problem(
-            instance=instance,
-            utility=utility,
-            lam=args.lam,
-            k=k,
-            epsilon=args.epsilon,
-            schedule=args.schedule,
-        )
+        problem = _problem(args, instance, utility_doc, k, args.schedule)
         for name in names:
             for seed in seeds:
                 records.append(_timed_run(name, problem, seed, instance_hash))
     records.sort(key=lambda rec: (rec["algorithm"], rec["k"], rec["seed"]))
-    _write_csv(records, args.out)
+    _write_records(records, args.out, "csv")
     print(f"wrote {len(records)} row(s) to {args.out}")
     return EXIT_OK
 
@@ -281,10 +265,8 @@ def _guarantee_threshold(name: str, problem: Problem) -> float | None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = formats.load_instance(args.instance, validate_triangle=args.validate_triangle)
-    utility = formats.load_utility(args.utility, bind_k=args.k)
-    problem = Problem(
-        instance=instance, utility=utility, lam=args.lam, k=args.k, epsilon=args.epsilon
-    )
+    utility_doc = formats._read_json(args.utility)
+    problem = _problem(args, instance, utility_doc, args.k, "geometric")
     exact = oracle.brute_force_opt(problem)
 
     report: dict = {
@@ -295,8 +277,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "algorithms": {},
         "violations": [],
     }
-    for name in ALGORITHM_NAMES:
-        sol = _run_named(name, problem, args.seed)
+    for name, run in SOLVERS.items():
+        sol = run(problem, args.seed)
         if exact.opt_value == 0.0:
             ratio = 1.0 if sol.f_value == 0.0 else None
         else:
@@ -384,32 +366,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             )
     lam = args.lam if args.lam is not None else 1.0 - alpha
 
-    problem = Problem(
-        instance=instance,
-        utility=utility,
-        lam=lam,
-        k=args.k,
-        epsilon=args.epsilon,
-        schedule=args.schedule,
-    )
+    problem = Problem(instance, utility, lam, args.k, args.epsilon, args.schedule)
     t0 = time.perf_counter()
     sol = algorithms.gist(problem)
-    elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    result = {
-        "selected": list(sol.selected),
-        "f": sol.f_value,
-        "g": sol.g_value,
-        "div": sol.div_value,
-        "oracle_calls": sol.oracle_calls,
-        "threshold": sol.winning_threshold,
-        "algorithm": sol.algorithm,
-        "utility": args.utility,
-        "n": n,
-        "k": args.k,
-        "lam": lam,
-        "epsilon": args.epsilon,
-        "wall_time_ms": round(elapsed_ms, 3),
-    }
+    result = _record(sol, (time.perf_counter() - t0) * 1000.0)
+    result.update(utility=args.utility, n=n, k=args.k, lam=lam, epsilon=args.epsilon)
     formats._write_json(result, args.out)
     print(f"selected {len(sol.selected)} of {n} points -> {args.out}")
     return EXIT_OK
@@ -450,56 +411,48 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out-utility", required=True)
     gen.set_defaults(func=cmd_gen)
 
-    solve = sub.add_parser("solve", help="run one algorithm (or all) on an instance file")
-    solve.add_argument("--instance", required=True)
-    solve.add_argument("--utility", required=True)
-    solve.add_argument("--lam", type=float, required=True, help="diversity weight lambda")
-    solve.add_argument("--k", type=int, required=True)
-    solve.add_argument("--epsilon", type=float, default=0.1)
-    solve.add_argument("--algorithm", default="gist", help=f"{ALGORITHM_NAMES} or 'all'")
-    solve.add_argument("--schedule", default="geometric", help="geometric | exhaustive")
-    solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument(
+    # flags shared by every subcommand that reads an instance and a utility file
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--instance", required=True)
+    files.add_argument("--utility", required=True)
+    files.add_argument("--lam", type=float, required=True, help="diversity weight lambda")
+    files.add_argument("--epsilon", type=float, default=0.1)
+    files.add_argument(
         "--validate-triangle", action="store_true",
         help="check the triangle inequality on matrix instances (O(n^3), n <= 512)",
     )
+
+    solve = sub.add_parser(
+        "solve", parents=[files], help="run one algorithm (or all) on an instance file"
+    )
+    solve.add_argument("--k", type=int, required=True)
+    solve.add_argument("--algorithm", default="gist", help=f"{tuple(SOLVERS)} or 'all'")
+    solve.add_argument("--schedule", default="geometric", help="geometric | exhaustive")
+    solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--format", default="csv", choices=("csv", "json"))
     solve.add_argument("--out", required=True)
     solve.set_defaults(func=cmd_solve)
 
-    sweep = sub.add_parser("sweep", help="algorithms x budgets x seeds, one CSV row each")
-    sweep.add_argument("--instance", required=True)
-    sweep.add_argument("--utility", required=True)
-    sweep.add_argument("--lam", type=float, required=True)
+    sweep = sub.add_parser(
+        "sweep", parents=[files], help="algorithms x budgets x seeds, one CSV row each"
+    )
     sweep.add_argument("--k-list", required=True, help="comma-separated budgets")
-    sweep.add_argument("--epsilon", type=float, default=0.1)
     sweep.add_argument("--algorithms", default="gist,simple,greedy,random")
     sweep.add_argument("--seeds", default="0")
     sweep.add_argument("--schedule", default="geometric")
-    sweep.add_argument(
-        "--validate-triangle", action="store_true",
-        help="check the triangle inequality on matrix instances (O(n^3), n <= 512)",
-    )
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)
 
-    verify = sub.add_parser("verify", help="compare algorithms against the exact optimum")
-    verify.add_argument("--instance", required=True)
-    verify.add_argument("--utility", required=True)
-    verify.add_argument("--lam", type=float, required=True)
-    verify.add_argument("--k", type=int, required=True)
-    verify.add_argument("--epsilon", type=float, default=0.1)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument(
-        "--validate-triangle", action="store_true",
-        help="check the triangle inequality on matrix instances (O(n^3), n <= 512)",
+    verify = sub.add_parser(
+        "verify", parents=[files], help="compare algorithms against the exact optimum"
     )
+    verify.add_argument("--k", type=int, required=True)
+    verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--out", default=None)
     verify.set_defaults(func=cmd_verify)
 
     ingest = sub.add_parser("ingest", help="select a subset from an embeddings file")
     ingest.add_argument("--embeddings", required=True, help="JSON-lines embeddings file")
-    ingest.add_argument("--metric", default="cosine", choices=("cosine",))
     ingest.add_argument("--utility", default="margin", choices=("margin", "margin_similarity"))
     ingest.add_argument(
         "--alpha", type=float, default=None,
@@ -522,18 +475,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_GUARD
-    except (InputError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARAMS
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -82,23 +82,14 @@ def load_instance(path: str | Path, validate_triangle: bool = False) -> Instance
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: instance document must be a JSON object")
     try:
-        metric = doc["metric"]
         n = int(doc["n"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: missing or invalid 'metric'/'n'") from exc
-    has_points = "points" in doc
-    has_matrix = "matrix" in doc
-    try:
-        if metric == "matrix":
-            if not has_matrix or has_points:
-                raise FormatError(f"{path}: matrix metric requires 'matrix' and no 'points'")
-            inst = Instance.from_matrix(doc["matrix"], validate_triangle=validate_triangle)
-        elif metric in ("euclidean", "cosine"):
-            if not has_points or has_matrix:
-                raise FormatError(f"{path}: {metric} metric requires 'points' and no 'matrix'")
-            inst = Instance(metric, points=doc["points"])
-        else:
-            raise FormatError(f"{path}: unknown metric {metric!r}")
+        raise FormatError(f"{path}: missing or invalid 'n'") from exc
+    try:  # Instance holds the rules for 'metric', 'points' and 'matrix'
+        inst = Instance(
+            doc.get("metric"), points=doc.get("points"), matrix=doc.get("matrix"),
+            validate_triangle=validate_triangle,
+        )
     except InputError as exc:
         raise FormatError(f"{path}: invalid instance data: {exc}") from exc
     if inst.n != n:
@@ -155,14 +146,12 @@ def utility_from_dict(doc: dict[str, Any], bind_k: int | None = None) -> Utility
         if kind == "coverage":
             return CoverageUtility(doc["family"], doc.get("universe_size"))
         if kind == "budget_additive":
-            k = doc.get("k", None)
-            if k is None:
-                k = bind_k
+            k = bind_k if doc.get("k") is None else doc["k"]
             if k is None:
                 raise FormatError(
                     "budget_additive utility omits 'k'; a solve-time budget is required"
                 )
-            return BudgetAdditiveUtility(doc["weights"], doc["alpha"], doc["beta"], int(k))
+            return BudgetAdditiveUtility(doc["weights"], doc["alpha"], doc["beta"], k)
         if kind == "margin_similarity":
             return MarginSimilarityUtility(
                 doc["uncertainty"],
@@ -172,8 +161,8 @@ def utility_from_dict(doc: dict[str, Any], bind_k: int | None = None) -> Utility
             )
         if kind == "constant_zero":
             return ConstantZeroUtility(int(doc["n"]))
-    except KeyError as exc:
-        raise FormatError(f"utility document is missing field {exc}") from exc
+    except (KeyError, TypeError) as exc:  # TypeError: e.g. a 'family' entry that is not a list
+        raise FormatError(f"utility document has a missing or malformed field: {exc}") from exc
     raise FormatError(f"unknown utility kind {kind!r}; expected one of {UTILITY_KINDS}")
 
 
@@ -193,6 +182,8 @@ def load_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                 if not line:
                     continue
                 rec = json.loads(line)
+                if not isinstance(rec["embedding"], list):
+                    raise FormatError(f"{path}:{lineno}: embedding must be a JSON array")
                 vec = [float(x) for x in rec["embedding"]]
                 if dim is None:
                     dim = len(vec)

@@ -140,8 +140,8 @@ class BudgetAdditiveUtility(UtilityOracle):
             raise InputError("budget-additive weights must lie in [0, 1]")
         if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
             raise InputError("alpha and beta must lie in [0, 1]")
-        if int(k) < 1:
-            raise InputError("cap normalizer k must be >= 1")
+        if not float(k).is_integer() or int(k) < 1:
+            raise InputError(f"cap normalizer k must be an integer >= 1, got {k!r}")
         w.setflags(write=False)
         super().__init__(w.size, monotone_declared=True, submodular_declared=True)
         self.weights = w

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -81,6 +82,9 @@ def test_solve_unknown_algorithm_is_parameter_error(greedy_hard_files, tmp_path)
     inst, util = greedy_hard_files
     assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 6,
                "--algorithm", "annealing", "--out", tmp_path / "x.csv") == 3
+    assert run("sweep", "--instance", inst, "--utility", util, "--lam", 1, "--k-list", 6,
+               "--algorithms", "gist,bogus", "--out", tmp_path / "x.csv") == 3
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_solve_infeasible_budget_is_parameter_error(greedy_hard_files, tmp_path):
@@ -102,6 +106,13 @@ def test_solve_missing_and_malformed_files_are_parse_errors(tmp_path):
     bad.write_text("{ not json")
     assert run("solve", "--instance", bad, "--utility", bad, "--lam", 1, "--k", 2,
                "--out", out) == 2
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 2, "metric": "euclidean", "points": [[0.0], [1.0]]}))
+    for doc in ({"kind": "coverage", "family": 5},
+                {"kind": "margin_similarity", "uncertainty": [0.5, 0.5], "edges": [5]}):
+        bad.write_text(json.dumps(doc))
+        assert run("solve", "--instance", inst, "--utility", bad, "--lam", 1, "--k", 2,
+                   "--out", out) == 2
 
 
 def test_sweep_row_grid_and_stability(greedy_hard_files, tmp_path):
@@ -284,6 +295,35 @@ def test_ingest_dimension_mismatch_is_parse_error(tmp_path):
         {"embedding": [1.0, 0.0, 0.0], "uncertainty": 0.3},
     ])
     assert run("ingest", "--embeddings", emb, "--k", 2, "--out", tmp_path / "x.json") == 2
+
+
+def test_ingest_metric_is_usage_error(tmp_path):
+    emb = tmp_path / "emb.jsonl"
+    write_embeddings(emb, [{"embedding": [1.0, 0.0], "uncertainty": 0.3}])
+    with pytest.raises(SystemExit) as exc:
+        run("ingest", "--embeddings", emb, "--metric", "cosine", "--k", 1,
+            "--out", tmp_path / "x.json")
+    assert exc.value.code == 2
+
+
+def test_subcommand_option_strings():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    files = {"--instance", "--utility", "--lam", "--epsilon", "--validate-triangle"}
+    assert options == {
+        "gen": {"--family", "--n", "--dim", "--k", "--eps-inst", "--alpha", "--beta",
+                "--monotone-variant", "--graph", "--set-family", "--lambda-override", "--seed",
+                "--out-instance", "--out-utility"},
+        "solve": files | {"--k", "--algorithm", "--schedule", "--seed", "--format", "--out"},
+        "sweep": files | {"--k-list", "--algorithms", "--seeds", "--schedule", "--out"},
+        "verify": files | {"--k", "--seed", "--out"},
+        "ingest": {"--embeddings", "--utility", "--alpha", "--alpha-s", "--beta-s", "--edges",
+                   "--k", "--lam", "--epsilon", "--schedule", "--out"},
+    }
 
 
 def test_ingest_normalization_warning(tmp_path, capsys):

@@ -102,6 +102,8 @@ def test_budget_additive_k_binding(tmp_path):
         load_utility(path)
     util = load_utility(path, bind_k=2)
     assert util.k == 2
+    path.write_text(json.dumps({**doc, "k": 2.0}))  # integral values load
+    assert load_utility(path).k == 2
 
 
 def test_unknown_utility_kind(tmp_path):
@@ -134,6 +136,13 @@ def test_embeddings_dimension_mismatch(tmp_path):
         fh.write(json.dumps({"embedding": [1.0, 0.0], "uncertainty": 0.2}) + "\n")
         fh.write(json.dumps({"embedding": [1.0, 0.0, 0.0], "uncertainty": 0.2}) + "\n")
     with pytest.raises(FormatError, match="dimension"):
+        load_embeddings(path)
+
+
+def test_embeddings_vector_must_be_array(tmp_path):
+    path = tmp_path / "emb.jsonl"
+    path.write_text(json.dumps({"embedding": "12", "uncertainty": 0.2}) + "\n")
+    with pytest.raises(FormatError, match="JSON array"):
         load_embeddings(path)
 
 

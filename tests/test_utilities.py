@@ -236,6 +236,8 @@ def test_utility_validation_errors():
     with pytest.raises(InputError):
         BudgetAdditiveUtility([0.5], alpha=1.2, beta=0.5, k=1)
     with pytest.raises(InputError):
+        BudgetAdditiveUtility([0.5], alpha=0.9, beta=0.5, k=2.5)  # non-integral cap
+    with pytest.raises(InputError):
         MarginSimilarityUtility([0.5, 3.0], edges=[])  # uncertainty > 2
     with pytest.raises(InputError):
         MarginSimilarityUtility([0.5, 0.5], edges=[(0, 0, 0.5)])  # self loop
