@@ -44,6 +44,14 @@ def canonical_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     return s
 
 
+def integral(x, what: str) -> int:
+    """``x`` as an int when it equals one: 3 and 3.0 pass; 3.5 and "3" raise InputError."""
+    i = int(x)
+    if i != x:
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return i
+
+
 def _mirror_upper(d: np.ndarray) -> None:
     """Mirror the strict upper triangle of ``d`` and zero the diagonal, in place by row tiles."""
     for i0 in range(0, len(d), 256):
@@ -269,18 +277,29 @@ class UtilityOracle:
     ask an exact :class:`LinearUtility` or :class:`ConstantZeroUtility` (not a
     subclass) for each point's gain once per sweep, since it never changes.
 
-    Subclasses need only implement ``_value``.  Faster ``_marginal`` and
-    ``_batch_marginal`` overrides must agree with the value difference, each
-    gain independent of the batch; solvers reach both through ``_gain_state``.
-    Parameters are immutable; the query counter is the only mutable state.
+    A kind supplies ``g`` through three hooks, each given a sorted index tuple
+    ``s`` and counting no queries:
+
+    * ``_value(s)``, required: g(S).
+    * ``_batch_marginal(cand, s)``, optional, for gains that need no running
+      state: each candidate's g(S + v) - g(S).  The default takes value
+      differences, computing g(S) once per call.  A gain must not depend on
+      the rest of the batch, bit for bit: the sweep scores a superset of some
+      runs' candidates.
+    * ``_gain_state(base)``, optional, where state kept across a growing
+      selection pays (coverage): a :class:`_GainState` subclass.
+
+    The public ``marginal`` is ``batch_marginal`` of one candidate, and both
+    reach the hooks through ``_gain_state``, as the solvers do.  Parameters
+    are immutable; the query counter is the only mutable state.
     """
 
     kind: str = "abstract"
 
     def __init__(self, n: int, *, monotone_declared: bool, submodular_declared: bool):
-        if n < 1:
+        self.n = integral(n, "utility ground set size")
+        if self.n < 1:
             raise InputError("utility requires a nonempty ground set")
-        self.n = int(n)
         self.monotone_declared = bool(monotone_declared)
         self.submodular_declared = bool(submodular_declared)
         self._queries = QueryCounter()
@@ -297,14 +316,7 @@ class UtilityOracle:
 
     def marginal(self, v: int, subset: Iterable[int]) -> float:
         """g(S + v) - g(S) for v not in S.  Counts one query."""
-        s = canonical_subset(subset, self.n)
-        v = int(v)
-        if not 0 <= v < self.n:
-            raise InputError(f"point index out of range: {v}")
-        if v in s:
-            raise InputError(f"marginal gain requires v not in S; got v={v}")
-        self._queries.add(1)
-        return self._marginal(v, s)
+        return float(self.batch_marginal([v], subset)[0])
 
     def batch_marginal(self, candidates: Sequence[int], subset: Iterable[int]) -> np.ndarray:
         """Marginal gain of each candidate against the same base set.
@@ -327,18 +339,17 @@ class UtilityOracle:
     def _value(self, s: tuple[int, ...]) -> float:
         raise NotImplementedError
 
-    def _marginal(self, v: int, s: tuple[int, ...]) -> float:
-        with_v = tuple(sorted(s + (v,)))
-        return self._value(with_v) - self._value(s)
-
     def _batch_marginal(self, cand: np.ndarray, s: tuple[int, ...]) -> np.ndarray:
-        return np.array([self._marginal(int(v), s) for v in cand], dtype=np.float64)
+        base = self._value(s)
+        return np.array([self._value(tuple(sorted(s + (int(v),)))) - base for v in cand],
+                        dtype=np.float64)
 
 
 class _GainState:
     """Gains against a growing selection, unchecked: callers pass in-range candidates
     disjoint from it.  ``gains`` counts one query per candidate; ``add`` grows the
-    selection.  This default asks ``_batch_marginal``; kinds override ``_gains``/``add``."""
+    selection.  This default asks ``_batch_marginal`` against the sorted selection; a
+    kind whose gains pay for running state overrides ``_gains`` and ``add``."""
 
     def __init__(self, utility: UtilityOracle, base: Iterable[int] = ()):
         self.utility, self.s = utility, tuple(sorted(base))

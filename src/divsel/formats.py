@@ -38,7 +38,7 @@ from typing import Any
 
 import numpy as np
 
-from .core import Instance, UtilityOracle
+from .core import Instance, UtilityOracle, integral
 from .errors import FormatError, InputError
 from .generators import Graph
 from .utilities import (
@@ -82,7 +82,7 @@ def load_instance(path: str | Path, validate_triangle: bool = False) -> Instance
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: instance document must be a JSON object")
     try:
-        n = int(doc["n"])
+        n = integral(doc["n"], "'n'")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: missing or invalid 'n'") from exc
     try:  # Instance holds the rules for 'metric', 'points' and 'matrix'
@@ -153,14 +153,17 @@ def utility_from_dict(doc: dict[str, Any], bind_k: int | None = None) -> Utility
                 )
             return BudgetAdditiveUtility(doc["weights"], doc["alpha"], doc["beta"], k)
         if kind == "margin_similarity":
+            edges = [tuple(e) for e in doc.get("edges", [])]
+            if any(len(e) != 3 for e in edges):
+                raise FormatError("margin_similarity edges must be [i, j, s] triples")
             return MarginSimilarityUtility(
                 doc["uncertainty"],
-                edges=[tuple(e) for e in doc.get("edges", [])],
+                edges=edges,
                 alpha_s=doc.get("alpha_s", 0.9),
                 beta_s=doc.get("beta_s", 0.1),
             )
         if kind == "constant_zero":
-            return ConstantZeroUtility(int(doc["n"]))
+            return ConstantZeroUtility(doc["n"])
     except (KeyError, TypeError) as exc:  # TypeError: e.g. a 'family' entry that is not a list
         raise FormatError(f"utility document has a missing or malformed field: {exc}") from exc
     raise FormatError(f"unknown utility kind {kind!r}; expected one of {UTILITY_KINDS}")
@@ -182,9 +185,13 @@ def load_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                 if not line:
                     continue
                 rec = json.loads(line)
-                if not isinstance(rec["embedding"], list):
+                vec, score = rec["embedding"], rec["uncertainty"]
+                if not isinstance(vec, list):
                     raise FormatError(f"{path}:{lineno}: embedding must be a JSON array")
-                vec = [float(x) for x in rec["embedding"]]
+                # exact types, so a JSON string or boolean (bool subclasses int) is no number
+                if not set(map(type, vec)) | {type(score)} <= {int, float}:
+                    raise FormatError(
+                        f"{path}:{lineno}: embedding and uncertainty must be JSON numbers")
                 if dim is None:
                     dim = len(vec)
                 elif len(vec) != dim:
@@ -192,20 +199,23 @@ def load_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                         f"{path}:{lineno}: embedding dimension {len(vec)} != {dim}"
                     )
                 vectors.append(vec)
-                scores.append(float(rec["uncertainty"]))
+                scores.append(score)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FormatError):
             raise
         raise FormatError(f"cannot parse embeddings file {path}: {exc}") from exc
     if not vectors:
         raise FormatError(f"{path}: no embedding records found")
-    return np.asarray(vectors, dtype=np.float64), np.asarray(scores, dtype=np.float64)
+    try:
+        return np.asarray(vectors, dtype=np.float64), np.asarray(scores, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond float range
+        raise FormatError(f"cannot parse embeddings file {path}: {exc}") from exc
 
 
 def load_graph(path: str | Path) -> Graph:
     doc = _read_json(path)
     try:
-        return Graph.from_edges(int(doc["n"]), doc.get("edges", []))
+        return Graph.from_edges(integral(doc["n"], "'n'"), doc.get("edges", []))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"cannot parse graph file {path}: {exc}") from exc
 
@@ -215,7 +225,7 @@ def load_edge_pairs(path: str | Path) -> list[tuple[int, int]]:
     if not isinstance(doc, list):
         raise FormatError(f"{path}: edge file must be a JSON list of [i, j] pairs")
     try:
-        return [(int(e[0]), int(e[1])) for e in doc]
+        return [(integral(e[0], "edge index"), integral(e[1], "edge index")) for e in doc]
     except (TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"{path}: malformed edge pair") from exc
 
@@ -223,10 +233,10 @@ def load_edge_pairs(path: str | Path) -> list[tuple[int, int]]:
 def load_set_family(path: str | Path) -> tuple[list[list[int]], list[int] | None]:
     doc = _read_json(path)
     try:
-        family = [[int(e) for e in s] for s in doc["family"]]
+        family = [[integral(e, "set element") for e in s] for s in doc["family"]]
         groups = doc.get("groups")
         if groups is not None:
-            groups = [int(g) for g in groups]
+            groups = [integral(g, "group label") for g in groups]
         return family, groups
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"cannot parse set-family file {path}: {exc}") from exc

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Instance, Problem, UtilityOracle
+from .core import Instance, Problem, UtilityOracle, integral
 from .errors import InputError
 from .utilities import (
     BudgetAdditiveUtility,
@@ -57,7 +57,7 @@ class Graph:
         canon = []
         seen = set()
         for e in edges:
-            u, v = int(e[0]), int(e[1])
+            u, v = integral(e[0], "edge endpoint"), integral(e[1], "edge endpoint")
             if u == v:
                 raise InputError(f"self-loop on node {u} is not allowed")
             if not (0 <= u < n and 0 <= v < n):

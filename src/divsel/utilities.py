@@ -9,7 +9,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import UtilityOracle, _GainState
+from .core import UtilityOracle, _GainState, integral
 from .errors import InputError
 
 
@@ -22,9 +22,6 @@ class ConstantZeroUtility(UtilityOracle):
         super().__init__(n, monotone_declared=True, submodular_declared=True)
 
     def _value(self, s):
-        return 0.0
-
-    def _marginal(self, v, s):
         return 0.0
 
     def _batch_marginal(self, cand, s):
@@ -49,10 +46,6 @@ class LinearUtility(UtilityOracle):
     def _value(self, s):
         return float(self.weights[list(s)].sum())
 
-    def _marginal(self, v, s):
-        # independent of s by linearity
-        return float(self.weights[v])
-
     def _batch_marginal(self, cand, s):
         return self.weights[cand]
 
@@ -63,15 +56,20 @@ class CoverageUtility(UtilityOracle):
     kind = "coverage"
 
     def __init__(self, family: Sequence[Iterable[int]], universe_size: int | None = None):
+        family = [list(f) for f in family]
         try:
-            sets = [np.unique(np.fromiter(map(int, f), dtype=np.int64)) for f in family]
+            ids = [list(map(int, f)) for f in family]
+            sets = [np.unique(np.array(f, dtype=np.int64)) for f in ids]
         except OverflowError as exc:
             raise InputError(f"coverage element ids must fit in 64 bits: {exc}") from exc
+        if ids != family:  # the rule of ``integral``, in one pass at C speed
+            raise InputError("each coverage element id must be an integer")
         if not sets:
             raise InputError("coverage family must be nonempty")
         # CSR arrays: point -> element columns (ids compacted by np.unique), element -> points
         self._ids, self._cols = np.unique(np.concatenate(sets), return_inverse=True)
-        universe_size = self._ids.size if universe_size is None else int(universe_size)
+        universe_size = integral(
+            self._ids.size if universe_size is None else universe_size, "universe_size")
         if universe_size < self._ids.size:
             raise InputError(f"universe_size {universe_size} is smaller than the union of the "
                              f"family ({self._ids.size} elements)")
@@ -88,9 +86,6 @@ class CoverageUtility(UtilityOracle):
 
     def _value(self, s):
         return float(np.count_nonzero(~_CoverageGains(self, s).uncovered))
-
-    def _marginal(self, v, s):
-        return float(_CoverageGains(self, s).gain[v])
 
     def _gain_state(self, base=()):
         return _CoverageGains(self, base)
@@ -140,8 +135,8 @@ class BudgetAdditiveUtility(UtilityOracle):
             raise InputError("budget-additive weights must lie in [0, 1]")
         if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
             raise InputError("alpha and beta must lie in [0, 1]")
-        if not float(k).is_integer() or int(k) < 1:
-            raise InputError(f"cap normalizer k must be an integer >= 1, got {k!r}")
+        if integral(k, "cap normalizer k") < 1:
+            raise InputError(f"cap normalizer k must be >= 1, got {k!r}")
         w.setflags(write=False)
         super().__init__(w.size, monotone_declared=True, submodular_declared=True)
         self.weights = w
@@ -150,34 +145,15 @@ class BudgetAdditiveUtility(UtilityOracle):
         self.k = int(k)
 
     def _sum(self, s):
-        return float(self.weights[list(s)].sum())
+        return float(self.weights[np.fromiter(s, np.intp, len(s))].sum())
 
     def _value(self, s):
         return self.alpha * min(self._sum(s) / self.k, self.beta)
 
-    def _marginal(self, v, s):
+    def _batch_marginal(self, cand, s):
         total = self._sum(s)
-        new = self.alpha * min((total + self.weights[v]) / self.k, self.beta)
         old = self.alpha * min(total / self.k, self.beta)
-        return float(new - old)
-
-    def _gain_state(self, base=()):
-        return _BudgetGains(self, base)
-
-
-class _BudgetGains(_GainState):
-    """Sums the selection's weights in index order, as ``_sum`` does."""
-
-    def __init__(self, utility: BudgetAdditiveUtility, base=()):
-        self.utility, self.selected = utility, np.isin(np.arange(utility.n), list(base))
-
-    def _gains(self, cand):
-        u, total = self.utility, float(self.utility.weights[self.selected].sum())
-        old = u.alpha * min(total / u.k, u.beta)
-        return u.alpha * np.minimum((total + u.weights[cand]) / u.k, u.beta) - old
-
-    def add(self, v):
-        self.selected[v] = True
+        return self.alpha * np.minimum((total + self.weights[cand]) / self.k, self.beta) - old
 
 
 class MarginSimilarityUtility(UtilityOracle):
@@ -234,7 +210,7 @@ class MarginSimilarityUtility(UtilityOracle):
             seen: set[tuple[int, int]] = set()
             canon = []
             for i, j, sval in edges:
-                i, j, sval = int(i), int(j), float(sval)
+                i, j, sval = integral(i, "edge index"), integral(j, "edge index"), float(sval)
                 if i == j:
                     raise InputError("similarity edges must join distinct points")
                 if not (0 <= i < self.n and 0 <= j < self.n):
@@ -277,9 +253,6 @@ class MarginSimilarityUtility(UtilityOracle):
             self.alpha_s * self.uncertainty[list(s)].sum()
             - self.beta_s * self._ordered_pair_sum(s)
         )
-
-    def _marginal(self, v, s):
-        return float(self._batch_marginal([v], s)[0])
 
     def _batch_marginal(self, cand, s):
         return self.alpha_s * self.uncertainty[cand] - self.beta_s * 2.0 * self._neighbor_sums(cand, s)

@@ -115,6 +115,44 @@ def test_solve_missing_and_malformed_files_are_parse_errors(tmp_path):
                    "--out", out) == 2
 
 
+def test_non_integral_integers_are_rejected(tmp_path):
+    # a utility class raises InputError (exit 3), a file loader FormatError (exit 2)
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 3, "metric": "euclidean", "points": [[0.0], [1.0], [3.0]]}))
+    util, out = tmp_path / "util.json", tmp_path / "x.csv"
+    for doc, code in (({"kind": "coverage", "family": [[1.5], [1.2], [2.9]]}, 3),
+                      ({"kind": "constant_zero", "n": 3.7}, 3),
+                      ({"kind": "coverage", "family": [[1.0], [1], [2.0]]}, 0),
+                      ({"kind": "constant_zero", "n": 3.0}, 0)):
+        util.write_text(json.dumps(doc))
+        assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 2,
+                   "--out", out) == code, doc
+    emb, edges = tmp_path / "emb.jsonl", tmp_path / "edges.json"
+    write_embeddings(emb, [{"embedding": v, "uncertainty": 0.5}
+                           for v in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])])
+    for pairs, code in (([[0.7, 1.2]], 2), ([[0.0, 1.0]], 0)):
+        edges.write_text(json.dumps(pairs))
+        assert run("ingest", "--embeddings", emb, "--utility", "margin_similarity",
+                   "--edges", edges, "--k", 2, "--out", tmp_path / "sel.json") == code, pairs
+
+
+def test_non_numbers_and_short_edges_are_parse_errors(tmp_path):
+    emb = tmp_path / "emb.jsonl"
+    for bad in ({"embedding": ["1", "0"], "uncertainty": 0.5},
+                {"embedding": [0, True], "uncertainty": 0.5},
+                {"embedding": [1.0, 0.0], "uncertainty": "0.5"},
+                {"embedding": [1.0, 0.0], "uncertainty": False},
+                {"embedding": [1.0, 10**400], "uncertainty": 0.5}):  # beyond float range
+        write_embeddings(emb, [{"embedding": [0.0, 1.0], "uncertainty": 0.5}, bad])
+        assert run("ingest", "--embeddings", emb, "--k", 1, "--out", tmp_path / "x.json") == 2, bad
+    inst, util = tmp_path / "inst.json", tmp_path / "util.json"
+    inst.write_text(json.dumps({"n": 2, "metric": "euclidean", "points": [[0.0], [1.0]]}))
+    util.write_text(json.dumps({"kind": "margin_similarity", "uncertainty": [0.5, 0.5],
+                                "edges": [[0, 1]]}))
+    assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 2,
+               "--out", tmp_path / "x.csv") == 2
+
+
 def test_sweep_row_grid_and_stability(greedy_hard_files, tmp_path):
     inst, util = greedy_hard_files
     out1 = tmp_path / "sweep1.csv"

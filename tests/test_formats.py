@@ -13,6 +13,7 @@ from divsel import (
     MarginSimilarityUtility,
 )
 from divsel.formats import (
+    load_edge_pairs,
     load_embeddings,
     load_graph,
     load_instance,
@@ -167,3 +168,16 @@ def test_graph_and_set_family_loaders(tmp_path):
     fpath.write_text(json.dumps({"family": [[1, 2], [3]]}))
     _, groups = load_set_family(fpath)
     assert groups is None
+
+
+def test_loaders_reject_non_integral_integers(tmp_path):
+    path = tmp_path / "doc.json"
+    for doc, load in (({"n": 2.5, "metric": "matrix", "matrix": [[0, 1], [1, 0]]}, load_instance),
+                      ({"n": 4.5, "edges": []}, load_graph),
+                      ({"n": 4, "edges": [[0, 1.5]]}, load_graph),
+                      ({"family": [[1, 2.5]]}, load_set_family),
+                      ({"family": [[1]], "groups": [0.5]}, load_set_family),
+                      ([[0.7, 1.2]], load_edge_pairs)):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load(path)

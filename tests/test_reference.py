@@ -7,6 +7,8 @@ subclass of one counts like any other utility).
 The cosine matrix, the diameter and the diametrical pair must match the
 reference's bit for bit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from divsel import (
     LinearUtility,
     MarginSimilarityUtility,
     Problem,
+    UtilityOracle,
     classic_greedy,
     distance_thresholds,
     gist,
@@ -57,6 +60,20 @@ class SubclassedLinear(LinearUtility):
     """A linear utility by subclass: the solvers may not assume its gains are fixed."""
 
 
+class SqrtWeights(UtilityOracle):
+    """sqrt of a weight sum, a concave function of a modular one.  It defines only
+    ``_value``, so the solvers reach it through the default value-difference gains."""
+
+    kind = "sqrt_weights"
+
+    def __init__(self, weights):
+        super().__init__(len(weights), monotone_declared=True, submodular_declared=True)
+        self.weights = weights
+
+    def _value(self, s):
+        return math.sqrt(float(self.weights[list(s)].sum()))
+
+
 UTILITIES = {
     "coverage": lambda rng, n, k: make_utility("coverage", rng, n, k),
     "budget": lambda rng, n, k: make_utility("budget", rng, n, k),
@@ -67,6 +84,7 @@ UTILITIES = {
     "margin-edges": lambda rng, n, k: margin_similarity(rng, n, dense=False),
     "sparse-coverage": lambda rng, n, k: sparse_coverage_utility(rng, n),
     "linear-subclass": lambda rng, n, k: SubclassedLinear(rng.uniform(0.0, 1.0, n)),
+    "value-only": lambda rng, n, k: SqrtWeights(rng.uniform(0.0, 1.0, n)),
 }
 
 

@@ -165,6 +165,28 @@ def test_batch_marginal_matches_singles():
         assert list(batch) == singles
 
 
+def test_budget_additive_gains_are_bit_exact():
+    # the closed form over the sorted base's weight sum, bit for bit, through the
+    # public entry and through a gain state grown in shuffled order: a running sum
+    # would round differently
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        # k >= n keeps most sums below the cap, where their rounding shows
+        util = BudgetAdditiveUtility(rng.uniform(0.0, 1.0, n), float(rng.uniform(0.5, 1.0)),
+                                     float(rng.uniform(0.3, 1.0)), int(rng.integers(n, 2 * n)))
+        s = [int(i) for i in rng.permutation(n)[: int(rng.integers(0, n))]]
+        cand = [v for v in range(n) if v not in s]
+        total = util.weights[sorted(s)].sum()
+        expected = [util.alpha * min((total + util.weights[v]) / util.k, util.beta)
+                    - util.alpha * min(total / util.k, util.beta) for v in cand]
+        assert util.batch_marginal(cand, s).tolist() == expected
+        state = util._gain_state()
+        for v in s:
+            state.add(v)
+        assert state.gains(np.array(cand)).tolist() == expected
+
+
 # ---------------------------------------------------------------------------
 # monotonicity / submodularity checking
 # ---------------------------------------------------------------------------
@@ -251,6 +273,13 @@ def test_utility_validation_errors():
         CoverageUtility([[1], [2**70]])  # element id beyond 64 bits
     with pytest.raises(InputError):
         TabulatedUtility(2, [0.0, 1.0])  # wrong table size
+    for make in (lambda: CoverageUtility([[1.5], [1.2], [2.9]]),  # non-integral integers
+                 lambda: CoverageUtility([[1], [2]], universe_size=5.5),
+                 lambda: ConstantZeroUtility(3.7),
+                 lambda: MarginSimilarityUtility([0.5, 0.5], edges=[(0.5, 1, 0.2)]),
+                 lambda: BudgetAdditiveUtility([0.5], alpha=0.9, beta=0.5, k="2")):
+        with pytest.raises(InputError, match="must be an integer"):
+            make()
 
 
 def test_tabulated_from_function_round_trip():
