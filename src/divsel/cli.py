@@ -279,10 +279,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     for name, run in SOLVERS.items():
         sol = run(problem, args.seed)
-        if exact.opt_value == 0.0:
-            ratio = 1.0 if sol.f_value == 0.0 else None
-        else:
-            ratio = sol.f_value / exact.opt_value
+        ratio = oracle._ratio(sol.f_value, exact.opt_value)
         guarantee = _guarantee_threshold(name, problem)
         meets = None
         if guarantee is not None and ratio is not None:

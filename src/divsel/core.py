@@ -38,15 +38,31 @@ DENSE_MAX_BYTES = 2**31
 
 def canonical_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     """Return ``subset`` as a sorted, deduplicated, range-checked index tuple."""
-    s = tuple(sorted({int(i) for i in subset}))
+    s = tuple(sorted(set(_indices(subset, "subset"))))
     if s and (s[0] < 0 or s[-1] >= n):
         raise InputError(f"subset index out of range for ground set of size {n}: {s}")
     return s
 
 
+def _indices(items: Iterable, what: str) -> list[int]:
+    """``items`` as ints under the rule of :func:`integral`, in one list comparison."""
+    items = list(items)
+    try:
+        ints = list(map(int, items))
+    except (ValueError, OverflowError):  # NaN, inf
+        ints = None
+    if ints != items:
+        raise InputError(f"{what} indices must be integers, got {items!r}")
+    return ints
+
+
 def integral(x, what: str) -> int:
-    """``x`` as an int when it equals one: 3 and 3.0 pass; 3.5 and "3" raise InputError."""
-    i = int(x)
+    """``x`` as an int when it equals one: 3 and 3.0 pass; 3.5, "3", NaN and inf
+    raise InputError."""
+    try:
+        i = int(x)
+    except (ValueError, OverflowError):
+        i = None
     if i != x:
         raise InputError(f"{what} must be an integer, got {x!r}")
     return i
@@ -203,6 +219,7 @@ class Instance:
         return self._pairwise
 
     def dist(self, i: int, j: int) -> float:
+        i, j = _indices((i, j), "point")
         if not (0 <= i < self.n and 0 <= j < self.n):
             raise InputError(f"point index out of range: ({i}, {j})")
         return float(self.distance_matrix()[i, j])
@@ -324,7 +341,7 @@ class UtilityOracle:
         Counts one query per candidate.
         """
         s = canonical_subset(subset, self.n)
-        cand = np.asarray(candidates, dtype=np.intp)
+        cand = np.array(_indices(candidates, "candidate"), dtype=np.intp)
         if cand.size and (cand.min() < 0 or cand.max() >= self.n):
             raise InputError("candidate index out of range")
         if set(map(int, cand)) & set(s):

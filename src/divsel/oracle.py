@@ -1,13 +1,20 @@
-"""Exact exponential-time solvers used as ground truth in ratio tests."""
+"""Exact exponential-time solvers used as ground truth in ratio tests.
+
+Both solvers take one walk over the nonempty subsets of size <= k, by size
+and then lexicographically, and keep the best score; ties go to the
+lexicographically smallest witness.  ``_ratio`` is the one rule for an
+approximation ratio against a zero optimum.
+"""
 
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
-from .core import Instance, Problem, UtilityOracle
-from .errors import DegenerateRatioError, SizeGuardError
+from .core import Instance, Problem, UtilityOracle, integral
+from .errors import DegenerateRatioError, InputError, SizeGuardError
 
 #: Refuse to enumerate more nonempty subsets than this.
 SUBSET_GUARD = 10_000_000
@@ -28,92 +35,78 @@ class ExactResult:
     feasible: bool = True
 
 
-def _guard(n: int, k: int) -> None:
+def _subsets(instance: Instance, k: int) -> Iterator[tuple[tuple[int, ...], float]]:
+    """Every nonempty subset of size <= k, by size and then lexicographically,
+    with its div: the first minimum over its pairs in ``combinations`` order
+    (a -0.0 keeps its sign), or the diameter for a singleton."""
+    k = integral(k, "budget k")
+    if k < 1:
+        raise InputError("budget k must be >= 1")
+    n, k = instance.n, min(k, instance.n)
     total = sum(math.comb(n, t) for t in range(1, k + 1))
     if total > SUBSET_GUARD:
         raise SizeGuardError(
             f"{total} subsets of size <= {k} over {n} points exceeds the guard of {SUBSET_GUARD}"
         )
+    rows = instance.distance_matrix().tolist()
+    d_max = instance.d_max
+    for size in range(1, k + 1):
+        for combo in itertools.combinations(range(n), size):
+            pairs = itertools.combinations(combo, 2)
+            yield combo, min((rows[a][b] for a, b in pairs), default=d_max)
+
+
+def _best(scored: Iterable[tuple[tuple[int, ...], float | None]]) -> ExactResult:
+    """The best ``(subset, score)`` pair, ties to the lexicographically smaller
+    subset.  Every pair counts as examined; a None score is no candidate."""
+    best_value, best, examined = None, None, 0
+    for combo, value in scored:
+        examined += 1
+        if value is not None and (best is None or value > best_value
+                                  or (value == best_value and combo < best)):
+            best_value, best = value, combo
+    return ExactResult(best_value, best or (), examined, feasible=best is not None)
 
 
 def brute_force_opt(problem: Problem) -> ExactResult:
-    """Maximize f over every nonempty subset of size <= k.
-
-    Ties prefer the lexicographically smallest witness tuple.
-    """
-    inst, util, lam, k = problem.instance, problem.utility, problem.lam, problem.k
-    _guard(inst.n, k)
-    rows = inst.distance_matrix().tolist()
-    d_max = inst.d_max
-    best_f = None
-    best: tuple[int, ...] | None = None
-    examined = 0
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(range(inst.n), size):
-            examined += 1
-            g = util.evaluate(combo)
-            if size == 1:
-                dv = d_max
-            else:
-                dv = min(
-                    rows[combo[a]][combo[b]]
-                    for a in range(size)
-                    for b in range(a + 1, size)
-                )
-            f = g + lam * dv
-            if best_f is None or f > best_f or (f == best_f and combo < best):
-                best_f, best = f, combo
-    return ExactResult(opt_value=best_f, witness=best, subsets_examined=examined)
+    """Maximize f = g + lam * div over the walk, evaluating g once per subset."""
+    util, lam = problem.utility, problem.lam
+    return _best((combo, util.evaluate(combo) + lam * dv)
+                 for combo, dv in _subsets(problem.instance, problem.k))
 
 
 def brute_force_constrained(
     instance: Instance, utility: UtilityOracle, d: float, k: int
 ) -> ExactResult:
-    """Maximize g over subsets of size <= k whose diversity is at least ``d``.
+    """Maximize g over the walk's subsets whose diversity is at least ``d``,
+    evaluating g on those only.
 
-    Singletons have diversity equal to the ground-set diameter, so they are
-    feasible iff d <= d_max; when even singletons fail the result is flagged
-    infeasible rather than falling back to the empty set.
+    A singleton's diversity is the diameter, so singletons qualify iff
+    d <= d_max.  When no subset does, the result is flagged infeasible rather
+    than falling back to the empty set.  Like
+    :func:`~divsel.algorithms.greedy_independent_set`, it raises
+    :class:`InputError` unless ``k`` is an integer >= 1, ``d`` a nonnegative
+    number and both arguments are over the same points.
     """
-    _guard(instance.n, k)
-    rows = instance.distance_matrix().tolist()
-    singleton_ok = d <= instance.d_max
-    best_g = None
-    best: tuple[int, ...] | None = None
-    examined = 0
-    for size in range(1, k + 1):
-        for combo in itertools.combinations(range(instance.n), size):
-            examined += 1
-            if size == 1:
-                if not singleton_ok:
-                    continue
-            else:
-                dv = min(
-                    rows[combo[a]][combo[b]]
-                    for a in range(size)
-                    for b in range(a + 1, size)
-                )
-                if not dv >= d:
-                    continue
-            g = utility.evaluate(combo)
-            if best_g is None or g > best_g or (g == best_g and combo < best):
-                best_g, best = g, combo
-    if best is None:
-        return ExactResult(opt_value=None, witness=(), subsets_examined=examined, feasible=False)
-    return ExactResult(opt_value=best_g, witness=best, subsets_examined=examined)
+    if not d >= 0:
+        raise InputError(f"distance threshold must be a nonnegative number, got {d}")
+    if utility.n != instance.n:
+        raise InputError("utility and instance sizes differ")
+    return _best((combo, utility.evaluate(combo) if dv >= d else None)
+                 for combo, dv in _subsets(instance, k))
+
+
+def _ratio(f: float, opt: float) -> float | None:
+    """f / opt; 1.0 when both are 0, and None, undefined, when only opt is."""
+    if opt == 0.0:
+        return 1.0 if f == 0.0 else None
+    return f / opt
 
 
 def ratio_report(problem: Problem, solution) -> float:
-    """Algorithm value divided by the brute-force optimum.
-
-    A zero optimum with a zero algorithm value reports 1.0; a zero optimum
-    with a nonzero algorithm value is flagged as degenerate.
-    """
-    exact = brute_force_opt(problem)
-    if exact.opt_value == 0.0:
-        if solution.f_value == 0.0:
-            return 1.0
-        raise DegenerateRatioError(
-            f"optimum is 0 but algorithm value is {solution.f_value}"
-        )
-    return solution.f_value / exact.opt_value
+    """Algorithm value over the brute-force optimum by :func:`_ratio`; raises
+    :class:`DegenerateRatioError` where that is undefined."""
+    ratio = _ratio(solution.f_value, brute_force_opt(problem).opt_value)
+    if ratio is None:
+        raise DegenerateRatioError(f"optimum is 0 but algorithm value is {solution.f_value}")
+    return ratio

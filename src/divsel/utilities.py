@@ -368,9 +368,12 @@ def check_monotone_submodular(
     """Look for monotonicity and submodularity violations of ``utility``.
 
     By default samples ``trials`` random chains S <= T, v not in T (seeded,
-    deterministic).  With ``exhaustive=True`` every chain is enumerated
-    (requires n <= 16), so the returned witnesses are complete up to
-    ``max_witnesses`` per category.
+    deterministic), asking two single ``marginal`` gains per chain.  With
+    ``exhaustive=True`` every chain is enumerated (requires n <= 16), so the
+    returned witnesses are complete up to ``max_witnesses`` per category.  It
+    asks one ``batch_marginal`` per subset S, over every point outside S:
+    one query per (S, v), and, by the batch-independence rule of
+    ``_batch_marginal``, the same values as single gains.
 
     Monotonicity violation: some marginal gain is below ``-tol``.
     Submodularity violation: gain at the smaller set is below the gain at the
@@ -394,12 +397,9 @@ def check_monotone_submodular(
             raise InputError("exhaustive property checking supports n <= 16")
         members = [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
         gains: list[dict[int, float]] = []
-        for mask in range(1 << n):
-            row = {}
-            for v in range(n):
-                if not mask >> v & 1:
-                    row[v] = utility.marginal(v, members[mask])
-            gains.append(row)
+        for mask, base in enumerate(members):
+            outside = [v for v in range(n) if not mask >> v & 1]
+            gains.append(dict(zip(outside, utility.batch_marginal(outside, base).tolist())))
         for t_mask in range(1 << n):
             for v, gain_t in gains[t_mask].items():
                 if gain_t < -tol:

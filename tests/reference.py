@@ -1,7 +1,8 @@
 """Literal reference for GIST, the simple baseline, the classic greedy and the
 random baseline, read off the paper's pseudo-code with no shared runs,
-batching or caching; and for the dense matrices and the diameter, built with
-full-size temporaries and a sort.
+batching or caching; for the exact solvers, a list of every subset; and for
+the dense matrices and the diameter, built with full-size temporaries and a
+sort.
 
 Every threshold gets its own greedy run, every candidate is evaluated, and a
 later candidate replaces an equal one.  Gains come from the public single
@@ -179,3 +180,34 @@ def classic_greedy(problem: Problem) -> tuple:
         prefixes.append((tuple(sorted(order)), g_cur + lam * div_cur, g_cur, div_cur, None))
     # max returns the first maximal prefix, i.e. the earliest
     return max(prefixes, key=lambda p: p[1])
+
+
+def subsets(problem: Problem) -> list[tuple[int, ...]]:
+    """Every nonempty subset of size <= k, by size and then lexicographically."""
+    n = problem.instance.n
+    return [c for size in range(1, problem.k + 1) for c in itertools.combinations(range(n), size)]
+
+
+def best_subset(values: dict) -> tuple:
+    """The largest value and the lexicographically smallest subset with it."""
+    top = max(values.values())
+    witness = min(c for c, v in values.items() if v == top)
+    return values[witness], witness
+
+
+def brute_force(problem: Problem) -> tuple:
+    """``(opt_value, witness, subsets_examined, feasible)`` of max f, evaluating
+    every subset once."""
+    every = subsets(problem)
+    values = {c: problem.utility.evaluate(c) + problem.lam * div(problem, list(c)) for c in every}
+    return *best_subset(values), len(every), True
+
+
+def brute_force_constrained(problem: Problem, d: float) -> tuple:
+    """The same for max g over the subsets with div >= d, evaluating only those;
+    ``(None, (), examined, False)`` when there are none."""
+    every = subsets(problem)
+    values = {c: problem.utility.evaluate(c) for c in every if div(problem, list(c)) >= d}
+    if not values:
+        return None, (), len(every), False
+    return *best_subset(values), len(every), True

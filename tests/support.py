@@ -45,6 +45,13 @@ def random_metric_instance(rng: np.random.Generator, n: int, style: str) -> Inst
     raise ValueError(f"unknown style {style}")
 
 
+def counted(utility, solve):
+    """``solve()``'s result and the queries it made of ``utility``."""
+    before = utility.query_count
+    result = solve()
+    return result, utility.query_count - before
+
+
 def random_coverage_utility(rng: np.random.Generator, n: int) -> CoverageUtility:
     universe = int(rng.integers(6, 15))
     family = []

@@ -122,11 +122,16 @@ def test_non_integral_integers_are_rejected(tmp_path):
     util, out = tmp_path / "util.json", tmp_path / "x.csv"
     for doc, code in (({"kind": "coverage", "family": [[1.5], [1.2], [2.9]]}, 3),
                       ({"kind": "constant_zero", "n": 3.7}, 3),
+                      ({"kind": "constant_zero", "n": math.inf}, 3),
+                      ({"kind": "constant_zero", "n": math.nan}, 3),
                       ({"kind": "coverage", "family": [[1.0], [1], [2.0]]}, 0),
                       ({"kind": "constant_zero", "n": 3.0}, 0)):
         util.write_text(json.dumps(doc))
         assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 2,
                    "--out", out) == code, doc
+    inst.write_text(json.dumps({"n": math.inf, "metric": "euclidean", "points": [[0.0]]}))
+    assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 1,
+               "--out", out) == 2
     emb, edges = tmp_path / "emb.jsonl", tmp_path / "edges.json"
     write_embeddings(emb, [{"embedding": v, "uncertainty": 0.5}
                            for v in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])])
@@ -218,6 +223,22 @@ def test_verify_random_coverage_instance(tmp_path):
     util_path.write_text(json.dumps({"kind": "coverage", "family": family, "universe_size": 8}))
     assert run("verify", "--instance", inst_path, "--utility", util_path,
                "--lam", 1, "--k", 4) == 0
+
+
+def test_verify_reports_undefined_ratio_without_violation(tmp_path):
+    # g is 0 on singletons and negative on the pair, so with lam = 0 the optimum
+    # is 0, and a solver that returns the pair has no defined ratio
+    inst, util, out = tmp_path / "inst.json", tmp_path / "util.json", tmp_path / "report.json"
+    inst.write_text(json.dumps({"n": 2, "metric": "euclidean", "points": [[0.0], [1.0]]}))
+    util.write_text(json.dumps({"kind": "margin_similarity", "uncertainty": [0.0, 0.0],
+                                "edges": [[0, 1, 0.5]]}))
+    assert run("verify", "--instance", inst, "--utility", util, "--lam", 0, "--k", 2,
+               "--out", out) == 0
+    report = json.loads(out.read_text())
+    assert report["opt_value"] == 0.0 and report["violations"] == []
+    gist = report["algorithms"]["gist"]
+    assert gist["f"] < 0.0 and gist["ratio"] is None and gist["meets_guarantee"] is None
+    assert report["algorithms"]["greedy"]["ratio"] == 1.0  # f = 0 as well
 
 
 def test_verify_guarantee_thresholds():

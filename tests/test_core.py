@@ -191,6 +191,20 @@ def test_div_nonsubmodular_example_pair():
 def test_div_rejects_bad_indices():
     with pytest.raises(InputError):
         div(collinear_instance(), [0, 3])
+    for subset in ([0.2, 2.9], [float("nan")], [0, float("inf")]):
+        with pytest.raises(InputError, match="must be integers"):
+            div(collinear_instance(), subset)
+    assert div(collinear_instance(), [0.0, 2.0]) == 2.0
+
+
+def test_dist_rejects_bad_indices():
+    inst = collinear_instance()
+    for i, j in ((0.5, 1), (0, float("nan")), (float("inf"), 0), ("1", 0)):
+        with pytest.raises(InputError, match="must be integers"):
+            inst.dist(i, j)
+    with pytest.raises(InputError, match="out of range"):
+        inst.dist(0, 3)
+    assert inst.dist(0.0, np.int64(2)) == 2.0
 
 
 def test_div_monotone_non_increasing_under_inclusion():

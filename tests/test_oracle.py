@@ -6,6 +6,7 @@ import pytest
 from divsel import (
     ConstantZeroUtility,
     DegenerateRatioError,
+    InputError,
     Instance,
     LinearUtility,
     Problem,
@@ -21,6 +22,7 @@ from divsel import (
     objective,
     ratio_report,
 )
+from divsel.oracle import _ratio
 from support import METRIC_STYLES, make_utility, random_metric_instance
 
 
@@ -111,6 +113,27 @@ def test_constrained_infeasible_above_diameter():
     assert boundary.feasible and boundary.opt_value == 2.0
 
 
+def test_constrained_rejects_what_the_greedy_rejects():
+    inst = Instance.from_euclidean([[0.0], [1.0], [2.0]])
+    util = LinearUtility([1.0, 1.0, 1.0])
+    bad = [
+        (LinearUtility(np.ones(5)), 0.5, 2, "sizes differ"),
+        (util, float("nan"), 2, "nonnegative number"),
+        (util, -1.0, 2, "nonnegative number"),
+        (util, 0.5, 0, ">= 1"),
+        (util, 0.5, -3, ">= 1"),
+        (util, 0.5, 1.5, "must be an integer"),
+        (util, 0.5, float("nan"), "must be an integer"),
+    ]
+    for utility, d, k, message in bad:
+        with pytest.raises(InputError, match=message):
+            brute_force_constrained(inst, utility, d, k)
+    assert util.query_count == 0
+    # an integral k of any type, and a k above n, which walks every subset
+    assert brute_force_constrained(inst, util, 0.5, 2.0) == brute_force_constrained(inst, util, 0.5, 2)
+    assert brute_force_constrained(inst, util, 0.5, 10).subsets_examined == 7
+
+
 def test_constrained_value_non_increasing_in_floor():
     rng = np.random.default_rng(109)
     for trial in range(15):
@@ -143,6 +166,12 @@ def test_ratio_report_degenerate_zero_optimum():
     )
     with pytest.raises(DegenerateRatioError):
         ratio_report(problem, fake)
+
+
+def test_ratio_rule():
+    assert _ratio(1.0, 2.0) == 0.5
+    assert _ratio(0.0, 0.0) == _ratio(-0.0, 0.0) == 1.0
+    assert _ratio(0.5, 0.0) is None and _ratio(-0.5, 0.0) is None
 
 
 def test_size_guard():

@@ -1,7 +1,7 @@
-"""Property tests: gist and the simple baseline against the literal reference
-on generated degenerate problems (duplicate points, all-equal distances,
-n = 1, k = n, lam = 0, the zero utility, tied weights and nearly antipodal
-cosine vectors), with their oracle query counts."""
+"""Property tests: every solver against the literal reference on generated
+degenerate problems (duplicate points, all-equal distances, n = 1, k = n,
+lam = 0, the zero utility, tied weights and nearly antipodal cosine
+vectors), with their oracle query counts, and none above the exact optimum."""
 
 import numpy as np
 import pytest
@@ -17,10 +17,14 @@ from divsel import (  # noqa: E402
     Instance,
     LinearUtility,
     Problem,
+    brute_force_opt,
+    classic_greedy,
     distance_thresholds,
     gist,
+    random_baseline,
     simple_baseline,
 )
+from support import counted  # noqa: E402
 
 
 def small_ints(draw, shape, lo, hi):
@@ -85,3 +89,18 @@ def test_gist_and_simple_baseline_match_literal_reference(problem):
     assert outcome(simple) == reference.simple_baseline(problem)
     pair = k >= 2 and n >= 2
     assert simple.oracle_calls == reference.greedy(problem, 0.0)[1] + 1 + pair
+
+
+@given(problems())
+def test_classic_greedy_and_random_baseline_match_literal_reference(problem):
+    util = problem.utility
+    solutions = [classic_greedy(problem)]
+    assert (outcome(solutions[0]), solutions[0].oracle_calls) == counted(
+        util, lambda: reference.classic_greedy(problem))
+    for seed in (0, 7):
+        solutions.append(random_baseline(problem, seed))
+        assert (outcome(solutions[-1]), solutions[-1].oracle_calls) == counted(
+            util, lambda: reference.random_baseline(problem, seed))
+    opt = brute_force_opt(problem).opt_value
+    for sol in solutions + [gist(problem), simple_baseline(problem)]:
+        assert sol.f_value <= opt + 1e-9 * abs(opt), sol.algorithm

@@ -1,13 +1,15 @@
 """The solvers against the literal reference in ``reference.py``:
 selections, f/g/div and the winning threshold must match exactly, on random
-and degenerate inputs.  Every greedy run must count one query per candidate
-it scores, and gist one per candidate at each distinct prefix of its runs;
-an exact linear or constant-zero utility only one per point in all (a
-subclass of one counts like any other utility).
+and degenerate inputs, and so must the exact solvers' optimum, witness,
+subset count, feasibility and queries.  Every greedy run must count one
+query per candidate it scores, and gist one per candidate at each distinct
+prefix of its runs; an exact linear or constant-zero utility only one per
+point in all (a subclass of one counts like any other utility).
 The cosine matrix, the diameter and the diametrical pair must match the
 reference's bit for bit."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from divsel import (
     MarginSimilarityUtility,
     Problem,
     UtilityOracle,
+    brute_force_constrained,
+    brute_force_opt,
     classic_greedy,
     distance_thresholds,
     gist,
@@ -27,7 +31,7 @@ from divsel import (
     random_baseline,
     simple_baseline,
 )
-from support import make_utility, random_metric_instance, sparse_coverage_utility
+from support import counted, make_utility, random_metric_instance, sparse_coverage_utility
 
 
 def cosine_instance(rng, n):
@@ -150,6 +154,28 @@ def test_random_baseline_matches_literal_reference(instance_kind):
 def test_gist_counts_gains_once_per_distinct_prefix(instance_kind):
     for problem, label in problems(instance_kind):
         assert gist(problem).oracle_calls == reference.gist_queries(problem), label
+
+
+def exact(value, witness, examined, feasible):
+    return None if value is None else value.hex(), witness, examined, feasible
+
+
+@pytest.mark.parametrize("instance_kind", sorted(INSTANCES))
+def test_exact_solvers_match_literal_reference(instance_kind):
+    for problem, label in problems(instance_kind):
+        if problem.schedule == "exhaustive":  # the exact solvers have no schedule
+            continue
+        inst, util = problem.instance, problem.utility
+        got, queries = counted(util, lambda: astuple(brute_force_opt(problem)))
+        expected, expected_queries = counted(util, lambda: reference.brute_force(problem))
+        assert (exact(*got), queries) == (exact(*expected), expected_queries), label
+        pairs = sorted(inst.distance_matrix()[np.triu_indices(inst.n, 1)].tolist())
+        for d in (0.0, pairs[len(pairs) // 2] if pairs else 0.0, inst.d_max, inst.d_max + 1.0):
+            got, queries = counted(
+                util, lambda: astuple(brute_force_constrained(inst, util, d, problem.k)))
+            expected, expected_queries = counted(
+                util, lambda: reference.brute_force_constrained(problem, d))
+            assert (exact(*got), queries) == (exact(*expected), expected_queries), (label, d)
 
 
 def cosine_points(rng, n, dim, kind):

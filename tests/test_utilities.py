@@ -96,6 +96,24 @@ def test_marginal_rejects_member():
         coverage_example().marginal(0, [0, 1])
 
 
+def test_non_integral_indices_are_rejected():
+    util = LinearUtility([0.1, 0.2, 0.3])
+    for call in (lambda: util.evaluate([0.5, 1.7]),
+                 lambda: util.evaluate([float("nan")]),
+                 lambda: util.evaluate([float("inf")]),
+                 lambda: util.evaluate(["1"]),
+                 lambda: util.batch_marginal([1.7], [0]),
+                 lambda: util.batch_marginal(np.array([np.nan]), []),
+                 lambda: util.batch_marginal([1], [0.5]),
+                 lambda: util.marginal(1.5, [0])):
+        with pytest.raises(InputError, match="must be integers"):
+            call()
+    assert util.query_count == 0
+    # integral numbers of any type count as their integer
+    assert util.evaluate([0.0, np.int64(2)]) == util.evaluate(np.array([2, 0])) == 0.4
+    assert util.batch_marginal(np.array([1.0, 2.0]), (0,)).tolist() == [0.2, 0.3]
+
+
 def test_query_count_accounting():
     util = coverage_example()
     start = util.query_count
