@@ -12,25 +12,27 @@
 * :func:`random_baseline` -- best prefix of a uniformly random ordered
   k-sample.
 
-All tie-breaking is by lowest index.  Among equal-valued candidates the later
-one wins; among equal-valued prefixes the earlier one does.  Given identical
-inputs (and seed where applicable), every algorithm is deterministic.
+All tie-breaking is by lowest index.  Every solver returns the best of its
+candidates through one loop, where a later candidate replaces an equal one;
+prefixes are offered longest first, so among equal-valued prefixes the
+earliest wins.  Given identical inputs (and seed where applicable), every
+algorithm is deterministic.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from itertools import islice, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import Instance, Problem, Solution, UtilityOracle, _thresholds, objective
-from .errors import InputError
+from .core import Instance, Problem, Solution, UtilityOracle, _run_args, _thresholds, objective
 from .utilities import ConstantZeroUtility, LinearUtility
 
-#: An offer: selection, reported threshold (0.0 at d = 0, None for the pair), (f, g, div).
-_Candidate = tuple[list[int], float | None, tuple[float, float, float]]
+#: An offer: selection, reported threshold (0.0 at d = 0, None otherwise), (f, g, div).
+_Candidate = tuple[Iterable[int], float | None, tuple[float, float, float]]
 
 
 def _threshold_tree(
@@ -96,14 +98,12 @@ def greedy_independent_set(
     independent set of the distance-< d intersection graph).  Returns indices
     in selection order; the one-threshold case of the sweep :func:`gist` runs.
     It counts one query per candidate scored at each step, or n in all for an
-    exact linear or constant-zero utility, whose gains never change.
+    exact linear or constant-zero utility, whose gains never change.  Raises
+    :class:`InputError` unless both arguments are over the same points, ``d``
+    is a nonnegative number and ``k`` an integer >= 1 (3.0 passes; 2.5, NaN
+    and booleans do not); a ``k`` above n selects at most n points.
     """
-    if k < 1:
-        raise InputError("budget k must be >= 1")
-    if not d >= 0:
-        raise InputError(f"distance threshold must be a nonnegative number, got {d}")
-    if utility.n != instance.n:
-        raise InputError("utility and instance sizes differ")
+    k = _run_args(instance, utility, d, k)
     return next(_threshold_tree(instance, utility, np.array([d], dtype=np.float64), k))[0]
 
 
@@ -125,11 +125,13 @@ def _sweep_candidates(problem: Problem, schedule: np.ndarray) -> Iterator[_Candi
             yield sel, float(thresholds[hi]), value
 
 
-def _best_candidate(problem: Problem, algorithm: str, candidates: Iterable[_Candidate]) -> Solution:
-    """The best candidate; a later candidate replaces an equal one.
-    ``candidates`` is consumed here, so the queries of the greedy runs that
-    lazily produce it count toward ``oracle_calls``."""
-    start = problem.utility.query_count
+def _best_candidate(
+    problem: Problem, algorithm: str, start: int, candidates: Iterable[_Candidate],
+    seed: int | None = None,
+) -> Solution:
+    """The best candidate; a later candidate replaces an equal one.  ``start`` is the
+    query count when the run began, so the queries of the greedy runs that lazily
+    produce ``candidates`` count toward ``oracle_calls``; only the winner's selection is read."""
     best = None
     for sel, threshold, value in candidates:
         if best is None or value[0] >= best[0][0]:
@@ -143,26 +145,15 @@ def _best_candidate(problem: Problem, algorithm: str, candidates: Iterable[_Cand
         algorithm=algorithm,
         oracle_calls=problem.utility.query_count - start,
         winning_threshold=threshold,
-    )
-
-
-def _best_prefix(
-    problem: Problem, algorithm: str, start: int, order: list[int], values: list,
-    seed: int | None = None,
-) -> Solution:
-    """The best prefix of ``order``, earliest on ties; ``values[t]`` is the
-    ``(f, g, div)`` of ``order[: t + 1]``."""
-    best = int(np.argmax([f for f, _, _ in values]))
-    f, g, d = values[best]
-    return Solution(
-        selected=tuple(sorted(order[: best + 1])),
-        f_value=f,
-        g_value=g,
-        div_value=d,
-        algorithm=algorithm,
-        oracle_calls=problem.utility.query_count - start,
         seed=seed,
     )
+
+
+def _prefixes(order: list[int], values: list) -> Iterator[_Candidate]:
+    """Each prefix of ``order`` (a lazy ``islice``) with its ``values`` entry, longest
+    first, so that later-wins keeps the earliest of equal prefixes."""
+    lengths = range(len(order), 0, -1)
+    return zip(map(islice, repeat(order), lengths), repeat(None), reversed(values))
 
 
 def gist(problem: Problem) -> Solution:
@@ -178,13 +169,15 @@ def gist(problem: Problem) -> Solution:
     run's largest.
     """
     label = "gist" if problem.schedule == "geometric" else "gist-exhaustive"
-    return _best_candidate(problem, label, _sweep_candidates(problem, _thresholds(problem)))
+    start = problem.utility.query_count
+    return _best_candidate(problem, label, start, _sweep_candidates(problem, _thresholds(problem)))
 
 
 def simple_baseline(problem: Problem) -> Solution:
     """Best of the two extreme candidates: utility-only greedy and a
     diametrical pair (skipped when k < 2)."""
-    return _best_candidate(problem, "simple", _sweep_candidates(problem, np.empty(0)))
+    start = problem.utility.query_count
+    return _best_candidate(problem, "simple", start, _sweep_candidates(problem, np.empty(0)))
 
 
 def classic_greedy(problem: Problem) -> Solution:
@@ -222,7 +215,7 @@ def classic_greedy(problem: Problem) -> Solution:
         div_cur = float(min(div_cur, min_dist[t]))
         np.minimum(min_dist, inst.distance_row(t), out=min_dist)
         values.append((g_cur + lam * div_cur, g_cur, div_cur))
-    return _best_prefix(problem, "greedy", start, order, values)
+    return _best_candidate(problem, "greedy", start, _prefixes(order, values))
 
 
 def random_baseline(problem: Problem, seed: int = 0) -> Solution:
@@ -245,4 +238,4 @@ def random_baseline(problem: Problem, seed: int = 0) -> Solution:
         util._queries.add(1)
         g = util._value(tuple(prefix))
         values.append((g + lam * div_cur, g, div_cur))
-    return _best_prefix(problem, "random", start, order, values, seed)
+    return _best_candidate(problem, "random", start, _prefixes(order, values), seed)

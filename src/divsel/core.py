@@ -14,7 +14,6 @@ non-increasing under inclusion).
 from __future__ import annotations
 
 import math
-import operator
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -44,28 +43,55 @@ def canonical_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     return s
 
 
+#: Booleans equal 0 and 1 but are no integers here.
+_BOOLS = frozenset((bool, np.bool_))
+
+
 def _indices(items: Iterable, what: str) -> list[int]:
-    """``items`` as ints under the rule of :func:`integral`, in one list comparison."""
-    items = list(items)
+    """``items`` as ints under the rule of :func:`integral`: plain ints as they are
+    (an array's are made plain by ``tolist``), anything else through one list
+    comparison and a type check."""
+    items = items.tolist() if isinstance(items, np.ndarray) else list(items)
+    types = set(map(type, items))
+    if types <= {int}:  # plain ints, the common case (a bool's type is bool)
+        return items
     try:
         ints = list(map(int, items))
-    except (ValueError, OverflowError):  # NaN, inf
+    except (TypeError, ValueError, OverflowError):  # None, NaN, inf
         ints = None
-    if ints != items:
+    if ints != items or types & _BOOLS:
         raise InputError(f"{what} indices must be integers, got {items!r}")
     return ints
 
 
 def integral(x, what: str) -> int:
-    """``x`` as an int when it equals one: 3 and 3.0 pass; 3.5, "3", NaN and inf
-    raise InputError."""
+    """``x`` as an int when it equals one: 3, 3.0 and np.int64(3) pass; 3.5, "3",
+    NaN, inf, None and booleans raise InputError."""
     try:
         i = int(x)
-    except (ValueError, OverflowError):
-        i = None
-    if i != x:
+    except (TypeError, ValueError, OverflowError):
+        i = None  # a sentinel: x may itself be None
+    if i is None or i != x or type(x) in _BOOLS:
         raise InputError(f"{what} must be an integer, got {x!r}")
     return i
+
+
+def _budget(k, what: str = "budget k") -> int:
+    """The one budget rule: ``k`` as an int by :func:`integral`, at least 1."""
+    k = integral(k, what)
+    if k < 1:
+        raise InputError(f"{what} must be >= 1, got {k}")
+    return k
+
+
+def _run_args(instance: Instance, utility: UtilityOracle, d: float, k) -> int:
+    """The one gate for a run's arguments: the sizes match, ``d`` is a
+    nonnegative number and ``k`` meets :func:`_budget`; returns ``k`` as an int."""
+    if utility.n != instance.n:
+        raise InputError(f"utility and instance sizes differ: {utility.n} and {instance.n} points")
+    if not d >= 0:
+        raise InputError(f"distance threshold must be a nonnegative number, got {d}")
+    return _budget(k)
 
 
 def _mirror_upper(d: np.ndarray) -> None:
@@ -389,7 +415,9 @@ class Problem:
     ``lam`` weighs the diversity term, ``k`` is the cardinality budget,
     ``epsilon`` controls the geometric threshold schedule, and ``schedule``
     chooses between the geometric grid and the exhaustive grid of all
-    half-distances.
+    half-distances.  The instance and utility pass the gate of the solvers
+    called without a Problem, and ``k`` the one budget rule (``3.0`` is
+    stored as the int 3; booleans are refused) and ``k <= n``.
     """
 
     instance: Instance
@@ -400,16 +428,7 @@ class Problem:
     schedule: str = "geometric"
 
     def __post_init__(self):
-        if self.utility.n != self.instance.n:
-            raise InputError(
-                f"utility is over {self.utility.n} points but instance has {self.instance.n}"
-            )
-        try:
-            operator.index(self.k)
-        except TypeError:
-            raise InputError(f"cardinality budget must be an integer, got {self.k!r}") from None
-        if not self.k >= 1:
-            raise InputError(f"cardinality budget must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", _run_args(self.instance, self.utility, 0.0, self.k))
         if self.k > self.instance.n:
             raise InputError(f"cardinality budget {self.k} exceeds ground set size {self.instance.n}")
         if not 0.0 < self.epsilon < 1.0:

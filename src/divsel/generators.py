@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Instance, Problem, UtilityOracle, integral
+from .core import Instance, Problem, UtilityOracle, _budget, integral
 from .errors import InputError
 from .utilities import (
     BudgetAdditiveUtility,
@@ -52,6 +52,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[Sequence[int]]) -> "Graph":
+        n = integral(n, "graph size n")
         if n < 1:
             raise InputError("graph needs at least one node")
         canon = []
@@ -89,13 +90,15 @@ def random_bounded_degree_graph(
     Candidate pairs are visited in a seeded random order and inserted greedily
     while both endpoints stay under the degree cap.
     """
-    if max_degree < 0:
+    n = integral(n, "graph size n")
+    if integral(max_degree, "max_degree") < 0:
         raise InputError("max_degree must be nonnegative")
     rng = np.random.default_rng(seed)
     pairs = list(itertools.combinations(range(n), 2))
     order = rng.permutation(len(pairs))
     if target_edges is None:
         target_edges = int(rng.integers(0, len(pairs) + 1)) if pairs else 0
+    target_edges = integral(target_edges, "target_edges")
     deg = [0] * n
     edges = []
     for idx in order:
@@ -158,6 +161,7 @@ class GeneratedInstance:
 
 def gen_gaussian(n: int, dim: int, seed: int) -> GeneratedInstance:
     """n i.i.d. standard-normal points in R^dim with uniform [0, 1] weights."""
+    n, dim = integral(n, "n"), integral(dim, "dim")
     if n < 1 or dim < 1:
         raise InputError("n and dim must be >= 1")
     rng = np.random.default_rng(seed)
@@ -183,6 +187,7 @@ def gen_greedy_hard(n: int, k: int, eps_inst: float) -> GeneratedInstance:
     takes {0, 1} for value 4 + 2*eps_inst and then sees only negative gains,
     while any k points are worth k + 1 + eps_inst.
     """
+    n, k = integral(n, "n"), _budget(k)
     if not n >= k >= 4:
         raise InputError("requires n >= k >= 4")
     if not 0.0 < eps_inst < 1.0:
@@ -231,7 +236,8 @@ def gen_clique_reduction(graph: Graph, alpha: float, k: int) -> GeneratedInstanc
     """
     if not 0.0 < alpha <= 1.0:
         raise InputError("alpha must lie in (0, 1]")
-    if not 1 <= k <= graph.n:
+    k = _budget(k)
+    if k > graph.n:
         raise InputError("k must lie in [1, n]")
     n = graph.n
     m = np.ones((n, n))
@@ -276,7 +282,8 @@ def gen_independent_set_reduction(graph: Graph, alpha: float, k: int) -> Generat
     """
     if not 0.0 < alpha <= 1.0:
         raise InputError("alpha must lie in (0, 1]")
-    if not 1 <= k <= graph.n:
+    k = _budget(k)
+    if k > graph.n:
         raise InputError("k must lie in [1, n]")
     points = embed_graph(graph)
     return GeneratedInstance(

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import Instance, Problem, UtilityOracle, integral
-from .errors import DegenerateRatioError, InputError, SizeGuardError
+from .core import Instance, Problem, UtilityOracle, _run_args
+from .errors import DegenerateRatioError, SizeGuardError
 
 #: Refuse to enumerate more nonempty subsets than this.
 SUBSET_GUARD = 10_000_000
@@ -36,12 +36,10 @@ class ExactResult:
 
 
 def _subsets(instance: Instance, k: int) -> Iterator[tuple[tuple[int, ...], float]]:
-    """Every nonempty subset of size <= k, by size and then lexicographically,
-    with its div: the first minimum over its pairs in ``combinations`` order
-    (a -0.0 keeps its sign), or the diameter for a singleton."""
-    k = integral(k, "budget k")
-    if k < 1:
-        raise InputError("budget k must be >= 1")
+    """Every nonempty subset of size <= k (k an int >= 1, capped at n), by
+    size and then lexicographically, with its div: the first minimum over its
+    pairs in ``combinations`` order (a -0.0 keeps its sign), or the diameter
+    for a singleton."""
     n, k = instance.n, min(k, instance.n)
     total = sum(math.comb(n, t) for t in range(1, k + 1))
     if total > SUBSET_GUARD:
@@ -83,15 +81,12 @@ def brute_force_constrained(
 
     A singleton's diversity is the diameter, so singletons qualify iff
     d <= d_max.  When no subset does, the result is flagged infeasible rather
-    than falling back to the empty set.  Like
-    :func:`~divsel.algorithms.greedy_independent_set`, it raises
-    :class:`InputError` unless ``k`` is an integer >= 1, ``d`` a nonnegative
-    number and both arguments are over the same points.
+    than falling back to the empty set.  Its arguments pass the same gate as
+    :func:`~divsel.algorithms.greedy_independent_set`'s: :class:`InputError`
+    unless both are over the same points, ``d`` is a nonnegative number and
+    ``k`` an integer >= 1.
     """
-    if not d >= 0:
-        raise InputError(f"distance threshold must be a nonnegative number, got {d}")
-    if utility.n != instance.n:
-        raise InputError("utility and instance sizes differ")
+    k = _run_args(instance, utility, d, k)
     return _best((combo, utility.evaluate(combo) if dv >= d else None)
                  for combo, dv in _subsets(instance, k))
 

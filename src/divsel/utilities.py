@@ -4,12 +4,13 @@ submodularity."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import UtilityOracle, _GainState, integral
+from .core import UtilityOracle, _BOOLS, _GainState, _budget, integral
 from .errors import InputError
 
 
@@ -62,7 +63,8 @@ class CoverageUtility(UtilityOracle):
             sets = [np.unique(np.array(f, dtype=np.int64)) for f in ids]
         except OverflowError as exc:
             raise InputError(f"coverage element ids must fit in 64 bits: {exc}") from exc
-        if ids != family:  # the rule of ``integral``, in one pass at C speed
+        # the rule of ``integral``, at C speed: each id equals an int and is no bool
+        if ids != family or not _BOOLS.isdisjoint(map(type, itertools.chain.from_iterable(family))):
             raise InputError("each coverage element id must be an integer")
         if not sets:
             raise InputError("coverage family must be nonempty")
@@ -135,14 +137,13 @@ class BudgetAdditiveUtility(UtilityOracle):
             raise InputError("budget-additive weights must lie in [0, 1]")
         if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
             raise InputError("alpha and beta must lie in [0, 1]")
-        if integral(k, "cap normalizer k") < 1:
-            raise InputError(f"cap normalizer k must be >= 1, got {k!r}")
+        k = _budget(k, "cap normalizer k")
         w.setflags(write=False)
         super().__init__(w.size, monotone_declared=True, submodular_declared=True)
         self.weights = w
         self.alpha = float(alpha)
         self.beta = float(beta)
-        self.k = int(k)
+        self.k = k
 
     def _sum(self, s):
         return float(self.weights[np.fromiter(s, np.intp, len(s))].sum())
@@ -203,6 +204,8 @@ class MarginSimilarityUtility(UtilityOracle):
             if not (sim == sim.T).all():
                 raise InputError("similarity matrix must be exactly symmetric")
             np.fill_diagonal(sim, 0.0)
+            if not (np.abs(sim) <= 1.0).all():  # NaN fails too
+                raise InputError("similarities must lie in [-1, 1]")
             sim.setflags(write=False)
             self._sim = sim
         else:
@@ -277,11 +280,14 @@ class TabulatedUtility(UtilityOracle):
         monotone_declared: bool = False,
         submodular_declared: bool = False,
     ):
-        if n > self.MAX_N:
-            raise InputError(f"tabulated utilities support n <= {self.MAX_N}")
+        n = integral(n, "tabulated ground set size")
+        if not 1 <= n <= self.MAX_N:
+            raise InputError(f"tabulated utilities support 1 <= n <= {self.MAX_N}")
         table = np.array(values, dtype=np.float64)
         if table.shape != (1 << n,):
             raise InputError(f"expected 2^{n} subset values, got {table.shape}")
+        if not np.isfinite(table).all():
+            raise InputError("tabulated values must be finite")
         table.setflags(write=False)
         super().__init__(
             n, monotone_declared=monotone_declared, submodular_declared=submodular_declared

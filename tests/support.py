@@ -6,6 +6,8 @@ cell index, so repeated runs see identical instances.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from divsel import (
@@ -17,6 +19,18 @@ from divsel import (
 )
 
 METRIC_STYLES = ("euclidean", "box", "shortest-path")
+
+
+def integer_cases(value: int = 3) -> tuple[tuple, tuple]:
+    """The one table of integer cases, around ``value``: ``(accepted, refused)``.
+
+    Every integer argument, a budget or an index, takes an integral number of
+    any type as its int and refuses the rest, booleans included (they equal 0
+    and 1).
+    """
+    accepted = (value, float(value), np.int64(value))
+    refused = (value - 0.5, math.nan, math.inf, str(value), None, True, np.True_)
+    return accepted, refused
 
 
 def random_metric_instance(rng: np.random.Generator, n: int, style: str) -> Instance:

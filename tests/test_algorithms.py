@@ -214,6 +214,17 @@ def test_classic_greedy_single_point():
     assert sol.f_value == pytest.approx(0.4, rel=1e-12)
 
 
+def test_prefix_solvers_keep_the_earliest_of_tied_prefixes():
+    # every prefix is worth 0: the earliest, one point, wins for both prefix solvers
+    rng = np.random.default_rng(71)
+    for trial in range(6):
+        inst = random_metric_instance(rng, 7, METRIC_STYLES[trial % 3])
+        problem = Problem(inst, ConstantZeroUtility(7), lam=0.0, k=5)
+        for sol in (classic_greedy(problem), random_baseline(problem, trial)):
+            assert len(sol.selected) == 1 and sol.f_value == 0.0, sol
+        assert classic_greedy(problem).selected == (0,)  # ties to the lowest index
+
+
 # ---------------------------------------------------------------------------
 # random baseline
 # ---------------------------------------------------------------------------

@@ -129,9 +129,10 @@ def test_non_integral_integers_are_rejected(tmp_path):
         util.write_text(json.dumps(doc))
         assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 2,
                    "--out", out) == code, doc
-    inst.write_text(json.dumps({"n": math.inf, "metric": "euclidean", "points": [[0.0]]}))
-    assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 1,
-               "--out", out) == 2
+    for n in (math.inf, True):
+        inst.write_text(json.dumps({"n": n, "metric": "euclidean", "points": [[0.0]]}))
+        assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 1,
+                   "--out", out) == 2
     emb, edges = tmp_path / "emb.jsonl", tmp_path / "edges.json"
     write_embeddings(emb, [{"embedding": v, "uncertainty": 0.5}
                            for v in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])])

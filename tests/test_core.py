@@ -5,20 +5,25 @@ import numpy as np
 import pytest
 
 from divsel import (
+    BudgetAdditiveUtility,
     ConstantZeroUtility,
+    Graph,
     InputError,
     Instance,
     LinearUtility,
     Problem,
+    brute_force_constrained,
     distance_thresholds,
     div,
+    gen_clique_reduction,
     gen_greedy_hard,
+    gen_independent_set_reduction,
     gen_nonsubmodular_example,
     greedy_independent_set,
     objective,
 )
 from divsel.core import DENSE_MAX_BYTES, _mirror_upper
-from support import METRIC_STYLES, random_metric_instance
+from support import METRIC_STYLES, integer_cases, random_metric_instance
 
 
 def collinear_instance():
@@ -164,6 +169,28 @@ def test_problem_validation():
         greedy_independent_set(inst, util, math.nan, 2)
 
 
+def test_one_budget_rule_at_every_entry_point():
+    inst = Instance.from_euclidean([[0.0], [1.0], [2.0], [3.0]])
+    ones, graph = LinearUtility(np.ones(4)), Graph.from_edges(4, [(0, 1)])
+    entry_points = [  # (budget value, call returning the budget it used)
+        (3, lambda k: Problem(inst, ones, lam=1.0, k=k).k),
+        (3, lambda k: len(greedy_independent_set(inst, ones, 0.0, k))),
+        (3, lambda k: len(brute_force_constrained(inst, ones, 0.0, k).witness)),
+        (3, lambda k: BudgetAdditiveUtility([0.5] * 4, alpha=0.9, beta=0.5, k=k).k),
+        (3, lambda k: gen_clique_reduction(graph, 0.5, k).k),
+        (3, lambda k: gen_independent_set_reduction(graph, 0.5, k).k),
+        (5, lambda k: gen_greedy_hard(8, k, 0.1).k),
+    ]
+    for value, call in entry_points:
+        accepted, refused = integer_cases(value)
+        for k in accepted:
+            used = call(k)
+            assert used == value and type(used) is int, (value, k)
+        for k in refused:
+            with pytest.raises(InputError, match="must be an integer"):
+                call(k)
+
+
 # ---------------------------------------------------------------------------
 # div
 # ---------------------------------------------------------------------------
@@ -191,15 +218,19 @@ def test_div_nonsubmodular_example_pair():
 def test_div_rejects_bad_indices():
     with pytest.raises(InputError):
         div(collinear_instance(), [0, 3])
-    for subset in ([0.2, 2.9], [float("nan")], [0, float("inf")]):
+    accepted, refused = integer_cases(2)
+    for subset in ([0.2, 2.9], [float("nan")], [0, float("inf")], np.array([False, True, True]),
+                   *([0, bad] for bad in refused)):
         with pytest.raises(InputError, match="must be integers"):
             div(collinear_instance(), subset)
     assert div(collinear_instance(), [0.0, 2.0]) == 2.0
+    for ok in accepted:
+        assert div(collinear_instance(), [0, ok]) == 2.0
 
 
 def test_dist_rejects_bad_indices():
     inst = collinear_instance()
-    for i, j in ((0.5, 1), (0, float("nan")), (float("inf"), 0), ("1", 0)):
+    for i, j in ((0.5, 1), (0, float("nan")), (float("inf"), 0), ("1", 0), (True, False)):
         with pytest.raises(InputError, match="must be integers"):
             inst.dist(i, j)
     with pytest.raises(InputError, match="out of range"):

@@ -177,7 +177,12 @@ def test_loaders_reject_non_integral_integers(tmp_path):
                       ({"n": 4, "edges": [[0, 1.5]]}, load_graph),
                       ({"family": [[1, 2.5]]}, load_set_family),
                       ({"family": [[1]], "groups": [0.5]}, load_set_family),
-                      ([[0.7, 1.2]], load_edge_pairs)):
+                      ([[0.7, 1.2]], load_edge_pairs),
+                      # booleans are no integers, though JSON true equals 1 in Python
+                      ({"n": True, "metric": "euclidean", "points": [[0.0]]}, load_instance),
+                      ({"n": True, "edges": []}, load_graph),
+                      ({"family": [[1, True]]}, load_set_family),
+                      ([[0, True]], load_edge_pairs)):
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError):
             load(path)

@@ -56,6 +56,8 @@ def test_graph_canonicalization_and_validation():
         Graph.from_edges(3, [(0, 1), (1, 0)])
     with pytest.raises(InputError):
         Graph.from_edges(3, [(0, 5)])
+    with pytest.raises(InputError, match="must be an integer"):
+        Graph.from_edges(2.5, [])
 
 
 def test_random_bounded_degree_graph():
@@ -63,6 +65,11 @@ def test_random_bounded_degree_graph():
         g = random_bounded_degree_graph(15, 3, seed)
         assert g.max_degree <= 3
         assert g == random_bounded_degree_graph(15, 3, seed)
+    assert random_bounded_degree_graph(6, 2, 0, target_edges=3.0).edges == \
+        random_bounded_degree_graph(6, 2, 0, target_edges=3).edges
+    for bad in (dict(target_edges=2.5), dict(n=5.5), dict(max_degree=True)):
+        with pytest.raises(InputError, match="must be an integer"):
+            random_bounded_degree_graph(**{"n": 6, "max_degree": 2, "seed": 0, **bad})
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +85,11 @@ def test_gaussian_shapes_and_determinism():
     assert (gen.instance.points == again.instance.points).all()
     assert (gen.params["weights"] == again.params["weights"]).all()
     assert ((gen.params["weights"] >= 0) & (gen.params["weights"] <= 1)).all()
+    same = gen_gaussian(20.0, np.int64(3), seed=4).instance.points
+    assert (same == gen_gaussian(20, 3, seed=4).instance.points).all()
+    for n, dim in ((2.5, 3), (20, "3"), (True, 3)):
+        with pytest.raises(InputError, match="must be an integer"):
+            gen_gaussian(n, dim, seed=4)
 
 
 def test_gaussian_mean_concentration():
@@ -110,6 +122,8 @@ def test_greedy_hard_structure():
         gen_greedy_hard(8, 3, 0.1)  # k < 4
     with pytest.raises(InputError):
         gen_greedy_hard(5, 6, 0.1)  # n < k
+    with pytest.raises(InputError, match="must be an integer"):
+        gen_greedy_hard(8.5, 6, 0.1)  # its budget k runs through the table in test_core
 
 
 def test_greedy_hard_ratio_shrinks_with_k():

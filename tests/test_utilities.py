@@ -16,6 +16,7 @@ from divsel import (
     objective,
 )
 from support import (
+    integer_cases,
     random_budget_utility,
     random_coverage_utility,
     random_linear_utility,
@@ -105,13 +106,24 @@ def test_non_integral_indices_are_rejected():
                  lambda: util.batch_marginal([1.7], [0]),
                  lambda: util.batch_marginal(np.array([np.nan]), []),
                  lambda: util.batch_marginal([1], [0.5]),
-                 lambda: util.marginal(1.5, [0])):
+                 lambda: util.marginal(1.5, [0]),
+                 lambda: util.evaluate(np.array([False, True, True]))):  # a mask is no subset
         with pytest.raises(InputError, match="must be integers"):
             call()
+    accepted, refused = integer_cases(2)
+    for bad in refused:
+        for call in (lambda: util.evaluate([0, bad]),
+                     lambda: util.batch_marginal([bad], [0]),
+                     lambda: util.batch_marginal([1], [bad])):
+            with pytest.raises(InputError, match="must be integers"):
+                call()
     assert util.query_count == 0
     # integral numbers of any type count as their integer
     assert util.evaluate([0.0, np.int64(2)]) == util.evaluate(np.array([2, 0])) == 0.4
     assert util.batch_marginal(np.array([1.0, 2.0]), (0,)).tolist() == [0.2, 0.3]
+    for ok in accepted:
+        assert util.evaluate([0, ok]) == 0.4
+        assert util.batch_marginal([ok], [0]).tolist() == [0.3]
 
 
 def test_query_count_accounting():
@@ -291,9 +303,22 @@ def test_utility_validation_errors():
         CoverageUtility([[1], [2**70]])  # element id beyond 64 bits
     with pytest.raises(InputError):
         TabulatedUtility(2, [0.0, 1.0])  # wrong table size
+    with pytest.raises(InputError, match="finite"):
+        TabulatedUtility(2, [0.0, 1.0, np.nan, 2.0])
+    for sim in ([[0.0, 5.0], [5.0, 0.0]], [[0.0, np.inf], [np.inf, 0.0]], [[0, -1.5], [-1.5, 0]]):
+        with pytest.raises(InputError, match=r"lie in \[-1, 1\]"):
+            MarginSimilarityUtility([0.5, 0.5], similarity=sim)
+    # the diagonal is ignored, as the edge form has none
+    ignored = MarginSimilarityUtility([0.5, 0.5], similarity=[[9.0, 1.0], [1.0, 0.0]])
+    assert ignored.evaluate([0, 1]) == 0.9 * 1.0 - 0.1 * 2.0
+    assert TabulatedUtility(np.int64(2), [0.0, 1.0, 1.0, 2.0]).n == 2
     for make in (lambda: CoverageUtility([[1.5], [1.2], [2.9]]),  # non-integral integers
                  lambda: CoverageUtility([[1], [2]], universe_size=5.5),
                  lambda: ConstantZeroUtility(3.7),
+                 lambda: CoverageUtility([[True], [False]]),  # booleans are no ids
+                 lambda: CoverageUtility([[np.True_], [2]]),
+                 lambda: TabulatedUtility(2.5, [0.0] * 4),
+                 lambda: TabulatedUtility(None, [0.0] * 4),
                  lambda: MarginSimilarityUtility([0.5, 0.5], edges=[(0.5, 1, 0.2)]),
                  lambda: BudgetAdditiveUtility([0.5], alpha=0.9, beta=0.5, k="2")):
         with pytest.raises(InputError, match="must be an integer"):
