@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import Instance, Problem, Solution, UtilityOracle, _run_args, _thresholds, objective
+from .core import Instance, Problem, Solution, UtilityOracle, _run_args, _thresholds, div
 from .utilities import ConstantZeroUtility, LinearUtility
 
 #: An offer: selection, reported threshold (0.0 at d = 0, None otherwise), (f, g, div).
@@ -51,35 +51,36 @@ def _threshold_tree(
     utilities (not subclasses) are asked once per point, at the root.
     """
     # pending paths: (S, lo, hi, dist(v, S) or +inf, candidates at thresholds[lo], run_div)
-    n = instance.n
+    n, rows, cut = instance.n, instance.distance_matrix(), thresholds.searchsorted
     paths = [([], 0, len(thresholds) - 1, np.full(n, np.inf), np.arange(n), math.inf)]
     fixed = None  # exact linear or zero gains do not depend on S: ask each point's once
     if type(utility) in (LinearUtility, ConstantZeroUtility):
         fixed = utility._gain_state().gains(np.arange(n))
     while paths:
         sel, lo, hi, min_dist, cand, run_div = paths.pop()
+        floor = thresholds[lo]
         state = utility._gain_state(sel) if fixed is None and cand.size and len(sel) < k else None
         while len(sel) < k and cand.size:
             gains = fixed[cand] if state is None else state.gains(cand)
-            t = int(cand[np.argmax(gains)])
-            top = last = min(hi, int(np.searchsorted(thresholds, min_dist[t], "right")) - 1)
+            t = int(cand[gains.argmax()])
+            top = last = min(hi, int(cut(min_dist[t], "right")) - 1)
             at = len(paths)  # each higher branch goes below the lower ones: they pop ascending
             while last < hi:  # peel off the thresholds above dist(t, S)
                 first = last + 1
-                sub = np.flatnonzero(min_dist[cand] >= thresholds[first])
+                sub = (min_dist[cand] >= thresholds[first]).nonzero()[0]
                 if not sub.size:  # their runs end at S
                     paths.insert(at, (sel.copy(), first, hi, None, sub, run_div))
                     break
-                q = int(sub[np.argmax(gains[sub])])
-                u = int(cand[q])
-                row, rest = instance.distance_row(u), cand[sub[sub != q]]
-                last = min(hi, int(np.searchsorted(thresholds, min_dist[u], "right")) - 1)
+                rest = cand[sub]  # thresholds[first] > dist(t, S) >= 0: u's zero entry drops it
+                u = int(rest[gains[sub].argmax()])
+                row = rows[u]
+                last = min(hi, int(cut(min_dist[u], "right")) - 1)
                 paths.insert(at, (sel + [u], first, last, np.minimum(min_dist, row),
                                   rest[row[rest] >= thresholds[first]],
                                   min(run_div, float(min_dist[u]))))
-            row = instance.distance_row(t)
-            keep = (row[cand] >= thresholds[lo]) & (cand != t)
-            cand, hi, run_div = cand[keep], top, min(run_div, float(min_dist[t]))
+            row = rows[t]  # a floor above 0 drops t itself through its zero diagonal entry
+            cand = cand[row[cand] >= floor] if floor > 0 else cand[cand != t]
+            hi, run_div = top, min(run_div, float(min_dist[t]))
             np.minimum(min_dist, row, out=min_dist)
             sel.append(t)
             if state is not None:
@@ -114,13 +115,16 @@ def _sweep_candidates(problem: Problem, schedule: np.ndarray) -> Iterator[_Candi
     inst, util, lam = problem.instance, problem.utility, problem.lam
     thresholds = np.concatenate(([0.0], schedule))
     for sel, lo, hi, run_div in _threshold_tree(inst, util, thresholds, problem.k):
-        g, d = util.evaluate(sel), min(inst.d_max, run_div)
+        util._queries.add(1)  # one query per g; the solver built sel and pair: no index check
+        g, d = util._value(tuple(sorted(sel))), min(inst.d_max, run_div)
         value = (g + lam * d, g, d)
         if lo == 0:
             yield sel, 0.0, value
             if problem.k >= 2 and inst.n >= 2:
-                pair = list(inst.diametrical_pair())
-                yield pair, None, objective(problem, pair)
+                pair = inst.diametrical_pair()
+                util._queries.add(1)
+                g, d = util._value(pair), div(inst, pair)
+                yield pair, None, (g + lam * d, g, d)
         if hi > 0:
             yield sel, float(thresholds[hi]), value
 
@@ -191,8 +195,9 @@ def classic_greedy(problem: Problem) -> Solution:
     """
     inst, util, lam = problem.instance, problem.utility, problem.lam
     start = util.query_count
-    n = inst.n
-    g_cur = util.evaluate(())
+    n, rows = inst.n, inst.distance_matrix()
+    util._queries.add(1)
+    g_cur = util._value(())
     div_cur = inst.d_max
     min_dist = np.full(n, np.inf)
     in_set = np.zeros(n, dtype=bool)
@@ -213,7 +218,7 @@ def classic_greedy(problem: Problem) -> Solution:
         in_set[t] = True
         g_cur = g_cur + float(g_gains[pos])
         div_cur = float(min(div_cur, min_dist[t]))
-        np.minimum(min_dist, inst.distance_row(t), out=min_dist)
+        np.minimum(min_dist, rows[t], out=min_dist)
         values.append((g_cur + lam * div_cur, g_cur, div_cur))
     return _best_candidate(problem, "greedy", start, _prefixes(order, values))
 
@@ -228,12 +233,12 @@ def random_baseline(problem: Problem, seed: int = 0) -> Solution:
     start = util.query_count
     rng = np.random.default_rng(seed)
     order = [int(v) for v in rng.permutation(inst.n)[: problem.k]]
-    div_cur = inst.d_max
+    div_cur, rows = inst.d_max, inst.distance_matrix()
     min_dist = np.full(inst.n, np.inf)  # dist(v, prefix); +inf while it is empty
     prefix, values = [], []  # prefix: the points drawn so far, sorted
     for v in order:
         div_cur = min(div_cur, float(min_dist[v]))
-        np.minimum(min_dist, inst.distance_row(v), out=min_dist)
+        np.minimum(min_dist, rows[v], out=min_dist)
         bisect.insort(prefix, v)
         util._queries.add(1)
         g = util._value(tuple(prefix))

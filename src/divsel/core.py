@@ -13,6 +13,7 @@ non-increasing under inclusion).
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from dataclasses import dataclass
@@ -330,7 +331,7 @@ class UtilityOracle:
       the rest of the batch, bit for bit: the sweep scores a superset of some
       runs' candidates.
     * ``_gain_state(base)``, optional, where state kept across a growing
-      selection pays (coverage): a :class:`_GainState` subclass.
+      selection pays (coverage, budget-additive): a :class:`_GainState` subclass.
 
     The public ``marginal`` is ``batch_marginal`` of one candidate, and both
     reach the hooks through ``_gain_state``, as the solvers do.  Parameters
@@ -391,8 +392,8 @@ class UtilityOracle:
 class _GainState:
     """Gains against a growing selection, unchecked: callers pass in-range candidates
     disjoint from it.  ``gains`` counts one query per candidate; ``add`` grows the
-    selection.  This default asks ``_batch_marginal`` against the sorted selection; a
-    kind whose gains pay for running state overrides ``_gains`` and ``add``."""
+    selection.  This default asks ``_batch_marginal`` against the sorted selection ``s``;
+    a kind with its own gains overrides ``_gains``, and ``add`` if it keeps more state."""
 
     def __init__(self, utility: UtilityOracle, base: Iterable[int] = ()):
         self.utility, self.s = utility, tuple(sorted(base))
@@ -405,7 +406,8 @@ class _GainState:
         return self.utility._batch_marginal(cand, self.s)
 
     def add(self, v: int) -> None:
-        self.s = tuple(sorted(self.s + (int(v),)))
+        i = bisect.bisect(self.s, v)
+        self.s = self.s[:i] + (int(v),) + self.s[i:]
 
 
 @dataclass(frozen=True)

@@ -60,25 +60,31 @@ class CoverageUtility(UtilityOracle):
         family = [list(f) for f in family]
         try:
             ids = [list(map(int, f)) for f in family]
-            sets = [np.unique(np.array(f, dtype=np.int64)) for f in ids]
+            flat = np.fromiter(itertools.chain.from_iterable(ids), np.int64)
         except OverflowError as exc:
             raise InputError(f"coverage element ids must fit in 64 bits: {exc}") from exc
         # the rule of ``integral``, at C speed: each id equals an int and is no bool
         if ids != family or not _BOOLS.isdisjoint(map(type, itertools.chain.from_iterable(family))):
             raise InputError("each coverage element id must be an integer")
-        if not sets:
+        if not ids:
             raise InputError("coverage family must be nonempty")
+        # each point's distinct ids, ascending: one sort by (point, id), repeats dropped
+        owner = np.repeat(np.arange(len(ids)), [len(f) for f in ids])
+        order = np.lexsort((flat, owner))
+        flat, owner = flat[order], owner[order]
+        first = np.ones(flat.size, dtype=bool)
+        first[1:] = (flat[1:] != flat[:-1]) | (owner[1:] != owner[:-1])
         # CSR arrays: point -> element columns (ids compacted by np.unique), element -> points
-        self._ids, self._cols = np.unique(np.concatenate(sets), return_inverse=True)
+        self._ids, self._cols = np.unique(flat[first], return_inverse=True)
         universe_size = integral(
             self._ids.size if universe_size is None else universe_size, "universe_size")
         if universe_size < self._ids.size:
             raise InputError(f"universe_size {universe_size} is smaller than the union of the "
                              f"family ({self._ids.size} elements)")
-        super().__init__(len(sets), monotone_declared=True, submodular_declared=True)
+        super().__init__(len(ids), monotone_declared=True, submodular_declared=True)
         self.universe_size = universe_size
-        self._ptr = np.cumsum([0] + [c.size for c in sets])
-        self._owner = np.repeat(np.arange(self.n), np.diff(self._ptr))  # point of each column
+        self._owner = owner[first]  # point of each column
+        self._ptr = np.concatenate(([0], np.cumsum(np.bincount(self._owner, minlength=self.n))))
         self._el_ptr = np.cumsum(np.bincount(self._cols + 1, minlength=self._ids.size + 1))
         self._el_pts = self._owner[np.argsort(self._cols, kind="stable")]
 
@@ -151,10 +157,20 @@ class BudgetAdditiveUtility(UtilityOracle):
     def _value(self, s):
         return self.alpha * min(self._sum(s) / self.k, self.beta)
 
-    def _batch_marginal(self, cand, s):
-        total = self._sum(s)
-        old = self.alpha * min(total / self.k, self.beta)
-        return self.alpha * np.minimum((total + self.weights[cand]) / self.k, self.beta) - old
+    def _gain_state(self, base=()):
+        return _BudgetGains(self, base)
+
+
+class _BudgetGains(_GainState):
+    """alpha * min((total + w_v) / k, beta) - g(S) in place, total over the sorted selection."""
+
+    def _gains(self, cand):
+        u, total = self.utility, self.utility._sum(self.s)  # a running sum rounds differently
+        gains = u.weights[cand] + total
+        gains /= u.k
+        np.minimum(gains, u.beta, out=gains)
+        gains *= u.alpha
+        return np.subtract(gains, u.alpha * min(total / u.k, u.beta), out=gains)
 
 
 class MarginSimilarityUtility(UtilityOracle):

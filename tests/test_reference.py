@@ -230,3 +230,53 @@ def test_exhaustive_thresholds_match_unique_half_pairs():
             expected = np.unique(pairs) / 2.0 if inst.d_max > 0 else np.empty(0)
             got = np.array(distance_thresholds(problem))
             assert got.tobytes() == expected.tobytes(), (seed, inst.metric)
+
+
+def zero_distance_instance(kind):
+    """A matrix with -0.0 and +0.0 off the diagonal, or Euclidean points with
+    duplicates: either way the exhaustive schedule starts at a zero threshold."""
+    if kind == "signed-zeros":
+        m = np.array([[0.0, -0.0, 2.0, 1.0, 2.0, 1.0],
+                      [-0.0, 0.0, 1.0, 2.0, 1.0, 2.0],
+                      [2.0, 1.0, 0.0, 0.0, 2.0, 1.0],
+                      [1.0, 2.0, 0.0, 0.0, 1.0, 2.0],
+                      [2.0, 1.0, 2.0, 1.0, 0.0, 1.0],
+                      [1.0, 2.0, 1.0, 2.0, 1.0, 0.0]])
+        return Instance.from_matrix(m)
+    return Instance.from_euclidean([[0, 0], [0, 0], [1, 0], [1, 0], [0, 2], [3, 1], [0, 2]])
+
+
+def hexed(instance, outcome):
+    """The selection and float.hex of f, g, div and the threshold.  A zero div
+    is compared by value alone when the selection holds pairs at both -0.0 and
+    +0.0: the sweep's running minimum and the reference's first minimum over
+    pairs may then keep different signs."""
+    selected, f, g, d, threshold = outcome
+    pairs = instance.distance_matrix()[np.ix_(selected, selected)][np.triu_indices(len(selected), 1)]
+    signs = set(np.signbit(pairs[pairs == 0.0]).tolist())
+    d = d.hex() if d != 0.0 or len(signs) < 2 else d
+    return selected, f.hex(), g.hex(), d, None if threshold is None else threshold.hex()
+
+
+@pytest.mark.parametrize("kind", ["signed-zeros", "duplicate-points"])
+def test_zero_thresholds_match_literal_reference(kind):
+    # every point, the pick included, is at distance >= a floor <= 0 from the
+    # pick, so the sweep must leave the pick out by position at such a floor
+    inst = zero_distance_instance(kind)
+    for u, utility_kind in enumerate(("linear", "budget", "coverage", "zero", "value-only")):
+        for k in (2, 4, inst.n):
+            rng = np.random.default_rng(10 * u + k)
+            util = UTILITIES[utility_kind](rng, inst.n, k)
+            for lam, schedule in ((0.0, "exhaustive"), (0.5, "exhaustive"), (0.5, "geometric")):
+                problem = Problem(inst, util, lam=lam, k=k, epsilon=0.2, schedule=schedule)
+                if schedule == "exhaustive":
+                    assert distance_thresholds(problem)[0] == 0.0
+                sol = gist(problem)
+                label = (kind, utility_kind, k, lam, schedule)
+                assert hexed(inst, outcome(sol)) == hexed(inst, reference.gist(problem)), label
+                assert sol.oracle_calls == reference.gist_queries(problem), label
+            for d in (0.0, -0.0):
+                expected, queries = reference.greedy(problem, d)
+                before = util.query_count
+                assert greedy_independent_set(inst, util, d, k) == expected, (label, d)
+                assert util.query_count - before == queries, (label, d)

@@ -195,6 +195,31 @@ def test_batch_marginal_matches_singles():
         assert list(batch) == singles
 
 
+def per_set_csr(family):
+    """The coverage CSR arrays built set by set: one np.unique per set, then one over their union."""
+    sets = [np.unique(np.array(f, dtype=np.int64)) for f in family]
+    ids, cols = np.unique(np.concatenate(sets), return_inverse=True)
+    ptr = np.cumsum([0] + [c.size for c in sets])
+    owner = np.repeat(np.arange(len(sets)), np.diff(ptr))
+    el_ptr = np.cumsum(np.bincount(cols + 1, minlength=ids.size + 1))
+    return ids, cols, ptr, owner, el_ptr, owner[np.argsort(cols, kind="stable")]
+
+
+def test_coverage_csr_matches_per_set_unique():
+    # repeated ids within a set, empty sets, the int64 extremes and random families
+    families = [[[3, 1, 3, 2], [], [2, 2], [7]], [[]], [[], []], [[5, 5, 5]],
+                [[2**63 - 1, -2**63, 0], [0, -2**63]]]
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        families.append([rng.integers(-4, 12, int(rng.integers(0, 9))).tolist()
+                         for _ in range(int(rng.integers(1, 10)))])
+    for family in families:
+        util = CoverageUtility(family)
+        got = (util._ids, util._cols, util._ptr, util._owner, util._el_ptr, util._el_pts)
+        for a, b in zip(got, per_set_csr(family), strict=True):
+            assert (a.dtype, a.tolist()) == (b.dtype, b.tolist()), family
+
+
 def test_budget_additive_gains_are_bit_exact():
     # the closed form over the sorted base's weight sum, bit for bit, through the
     # public entry and through a gain state grown in shuffled order: a running sum
