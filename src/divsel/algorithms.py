@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import Instance, Problem, Solution, UtilityOracle, _run_args, _thresholds, div
+from .core import Instance, Problem, Solution, UtilityOracle, _run_args, _thresholds
 from .utilities import ConstantZeroUtility, LinearUtility
 
 #: An offer: selection, reported threshold (0.0 at d = 0, None otherwise), (f, g, div).
@@ -121,9 +121,9 @@ def _sweep_candidates(problem: Problem, schedule: np.ndarray) -> Iterator[_Candi
         if lo == 0:
             yield sel, 0.0, value
             if problem.k >= 2 and inst.n >= 2:
-                pair = inst.diametrical_pair()
+                pair, d = inst.diametrical_pair(), inst.d_max  # the pair's distance is d_max
                 util._queries.add(1)
-                g, d = util._value(pair), div(inst, pair)
+                g = util._value(pair)
                 yield pair, None, (g + lam * d, g, d)
         if hi > 0:
             yield sel, float(thresholds[hi]), value

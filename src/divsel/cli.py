@@ -11,7 +11,8 @@ Subcommands:
   cosine distance, always (no ``--metric`` flag).
 
 ``solve``, ``sweep`` and ``verify`` share ``--instance``, ``--utility``,
-``--lam``, ``--epsilon`` and ``--validate-triangle``.
+``--lam``, ``--epsilon`` and ``--validate-triangle``; the solver name picks
+gist's schedule (``gist`` geometric, ``gist-exhaustive`` exhaustive).
 
 Exit codes: 0 success, 2 parse failure, 3 invalid parameters, 4 exact-solver
 size guard, 5 guarantee violation found by ``verify``.
@@ -91,12 +92,10 @@ def _solver_names(names: list[str]) -> list[str]:
     return names
 
 
-def _problem(
-    args: argparse.Namespace, instance: Instance, utility_doc, k: int, schedule: str
-) -> Problem:
+def _problem(args: argparse.Namespace, instance: Instance, utility_doc, k: int) -> Problem:
     """The problem of the shared flags, with the utility document bound to budget ``k``."""
     utility = formats.utility_from_dict(utility_doc, bind_k=k)
-    return Problem(instance, utility, args.lam, k, args.epsilon, schedule)
+    return Problem(instance, utility, args.lam, k, args.epsilon)
 
 
 def _record(sol: Solution, elapsed_ms: float) -> dict:
@@ -212,7 +211,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     names = list(SOLVERS) if args.algorithm == "all" else _solver_names([args.algorithm])
     instance = formats.load_instance(args.instance, validate_triangle=args.validate_triangle)
     utility_doc = formats._read_json(args.utility)
-    problem = _problem(args, instance, utility_doc, args.k, args.schedule)
+    problem = _problem(args, instance, utility_doc, args.k)
     instance_hash = _sha256(args.instance)
     records = [_timed_run(name, problem, args.seed, instance_hash) for name in names]
     _write_records(records, args.out, args.format)
@@ -230,7 +229,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     records = []
     for k in k_list:
-        problem = _problem(args, instance, utility_doc, k, args.schedule)
+        problem = _problem(args, instance, utility_doc, k)
         for name in names:
             for seed in seeds:
                 records.append(_timed_run(name, problem, seed, instance_hash))
@@ -266,7 +265,7 @@ def _guarantee_threshold(name: str, problem: Problem) -> float | None:
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = formats.load_instance(args.instance, validate_triangle=args.validate_triangle)
     utility_doc = formats._read_json(args.utility)
-    problem = _problem(args, instance, utility_doc, args.k, "geometric")
+    problem = _problem(args, instance, utility_doc, args.k)
     exact = oracle.brute_force_opt(problem)
 
     report: dict = {
@@ -424,7 +423,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     solve.add_argument("--k", type=int, required=True)
     solve.add_argument("--algorithm", default="gist", help=f"{tuple(SOLVERS)} or 'all'")
-    solve.add_argument("--schedule", default="geometric", help="geometric | exhaustive")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--format", default="csv", choices=("csv", "json"))
     solve.add_argument("--out", required=True)
@@ -436,7 +434,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--k-list", required=True, help="comma-separated budgets")
     sweep.add_argument("--algorithms", default="gist,simple,greedy,random")
     sweep.add_argument("--seeds", default="0")
-    sweep.add_argument("--schedule", default="geometric")
     sweep.add_argument("--out", required=True)
     sweep.set_defaults(func=cmd_sweep)
 

@@ -116,9 +116,12 @@ class Instance:
       inequality, which is why the triangle check applies to matrices only).
 
     The full pairwise distance matrix is materialized lazily and cached (above
-    ``DENSE_MAX_BYTES`` it raises :class:`InputError`); ``d_max`` is its maximum.
-    Instances are immutable after construction and safe to share across threads: a
-    lock lets one thread fill each lazy cache, so two never build an n^2 array at once.
+    ``DENSE_MAX_BYTES`` it raises :class:`InputError`); ``d_max`` is its maximum,
+    stored with it.  Every zero distance is +0.0: a matrix input's ``-0.0`` is
+    stored as ``+0.0`` (the caller's array is not touched), and the Euclidean
+    and cosine matrices never hold ``-0.0``.  Instances are immutable after
+    construction and safe to share across threads: a lock lets one thread fill
+    each lazy cache, so two never build an n^2 array at once.
     """
 
     def __init__(
@@ -136,7 +139,7 @@ class Instance:
         self._pairwise: np.ndarray | None = None
         self._sorted_pair_distances: np.ndarray | None = None
         self._diameter: tuple[float, tuple[int, int]] | None = None
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self.max_unit_deviation = 0.0
 
         if metric == "matrix":
@@ -147,8 +150,8 @@ class Instance:
             except ValueError as exc:
                 raise InputError(f"malformed distance matrix: {exc}") from exc
             self._validate_matrix(m, validate_triangle)
-            m.setflags(write=False)
-            self._pairwise = m
+            m += 0.0  # our own copy: a -0.0 becomes +0.0
+            self._keep(m)
             self.n = m.shape[0]
         else:
             if points is None or matrix is not None:
@@ -226,6 +229,16 @@ class Instance:
 
     # -- distances ----------------------------------------------------------
 
+    def _keep(self, m: np.ndarray) -> None:
+        """Store ``m`` read-only as the distance matrix, with the diameter and its
+        first row-major pair (``(0, 1)`` when no two points are apart)."""
+        m.setflags(write=False)
+        row_max = m.max(axis=1)  # one pass, no n^2 temporary
+        i = int(np.argmax(row_max))  # symmetric with a zero diagonal: the pair has i < j
+        pair = (i, int(np.argmax(m[i]))) if row_max[i] > 0.0 else (0, 1)
+        self._diameter = (float(row_max[i]), pair)  # first: unlocked readers test _pairwise
+        self._pairwise = m
+
     def distance_matrix(self) -> np.ndarray:
         """Full pairwise distance matrix (cached, read-only)."""
         if self._pairwise is None:
@@ -241,8 +254,7 @@ class Instance:
                         np.subtract(1.0, d, out=d)
                         np.maximum(d, 0.0, out=d)
                         _mirror_upper(d)  # exact symmetry
-                    d.setflags(write=False)
-                    self._pairwise = d
+                    self._keep(d)
         return self._pairwise
 
     def dist(self, i: int, j: int) -> float:
@@ -258,9 +270,9 @@ class Instance:
     def pair_distances_sorted(self) -> np.ndarray:
         """All n*(n-1)/2 pairwise distances, sorted ascending (cached; exhaustive schedule only)."""
         if self._sorted_pair_distances is None:
+            m = self.distance_matrix()  # before the n^2 mask, so both are never built at once
             with self._lock:
                 if self._sorted_pair_distances is None:
-                    m = self.distance_matrix()  # before the n^2 mask, so both are never built at once
                     vals = np.sort(m[~np.tri(self.n, dtype=bool)])  # i < j, in row-major order
                     vals.setflags(write=False)
                     self._sorted_pair_distances = vals
@@ -268,25 +280,16 @@ class Instance:
 
     @property
     def d_max(self) -> float:
-        """Diameter of the ground set, the matrix maximum (cached); 0 below two points."""
+        """Diameter of the ground set, the matrix maximum (stored with it); 0 below two points."""
         if self._diameter is None:
-            with self._lock:
-                if self._diameter is None:
-                    m = self.distance_matrix()  # read-only: np.argmax(m) would copy it
-                    # symmetric with a zero diagonal: the first row-major maximum has i < j
-                    i = int(np.argmax(m.max(axis=1)))
-                    if m[i].max() > 0.0:
-                        self._diameter = (float(m[i].max()), (i, int(np.argmax(m[i]))))
-                    else:  # no two points apart: zero with the sign the sorted pairs end with
-                        vals = self.pair_distances_sorted()
-                        self._diameter = (float(vals[-1]) if vals.size else 0.0, (0, 1))
+            self.distance_matrix()
         return self._diameter[0]
 
     def diametrical_pair(self) -> tuple[int, int]:
         """Lexicographically smallest pair (i < j) at distance d_max; (0, 1) if d_max is 0."""
         if self.n < 2:
             raise InputError("diametrical pair requires at least two points")
-        self.d_max  # fills the cached pair
+        self.d_max  # fills the stored pair
         return self._diameter[1]
 
 
@@ -506,8 +509,6 @@ def _thresholds(problem: Problem) -> np.ndarray:
         return np.empty(0)
     if problem.schedule == "exhaustive":
         vals = inst.pair_distances_sorted()
-        if np.signbit(vals).any():  # -0.0 beside +0.0: keep the zero np.unique picks
-            return np.unique(vals) / 2.0
         return vals[np.concatenate(([True], vals[1:] != vals[:-1]))] / 2.0
     eps = problem.epsilon
     base = eps * inst.d_max / 2.0

@@ -309,12 +309,12 @@ def gen_cover_reduction(
     U the size of the union of all sets.  Without group labels, disjointness
     alone decides.  The utility is coverage and lam defaults to 1.
     """
-    sets = tuple(frozenset(int(e) for e in f) for f in family)
+    sets = tuple(frozenset(integral(e, "set element") for e in f) for f in family)
     if not sets:
         raise InputError("set family must be nonempty")
     n = len(sets)
     if groups is not None:
-        groups = tuple(int(g) for g in groups)
+        groups = tuple(integral(g, "group label") for g in groups)
         if len(groups) != n:
             raise InputError("groups must assign one label per set")
     union = frozenset().union(*sets)

@@ -37,9 +37,8 @@ class ExactResult:
 
 def _subsets(instance: Instance, k: int) -> Iterator[tuple[tuple[int, ...], float]]:
     """Every nonempty subset of size <= k (k an int >= 1, capped at n), by
-    size and then lexicographically, with its div: the first minimum over its
-    pairs in ``combinations`` order (a -0.0 keeps its sign), or the diameter
-    for a singleton."""
+    size and then lexicographically, with its div: the minimum over its pairs
+    in ``combinations`` order, or the diameter for a singleton."""
     n, k = instance.n, min(k, instance.n)
     total = sum(math.comb(n, t) for t in range(1, k + 1))
     if total > SUBSET_GUARD:

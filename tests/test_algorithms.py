@@ -321,9 +321,16 @@ def test_only_the_exhaustive_schedule_sorts_the_pairs(monkeypatch):
     def refuse(self):
         raise AssertionError("pair sort requested")
 
+    def zeros():  # no two points apart, and -0.0 off the diagonal
+        m = np.zeros((5, 5))
+        m[0, 1] = m[1, 0] = m[2, 4] = m[4, 2] = -0.0
+        return Problem(Instance.from_matrix(m), LinearUtility(weights[:5]), lam=0.5, k=3)
+
     monkeypatch.setattr(Instance, "pair_distances_sorted", refuse)
     for solve in (gist, simple_baseline, classic_greedy, random_baseline, brute_force_opt):
         solve(fresh())
+        solve(zeros())
     assert div(fresh().instance, [0]) > 0.0
+    assert zeros().instance.d_max.hex() == "0x0.0p+0"
     with pytest.raises(AssertionError, match="pair sort requested"):
         gist(fresh("exhaustive"))

@@ -66,6 +66,19 @@ def test_solve_all_writes_five_rows(greedy_hard_files, tmp_path):
     assert float(by_algo["greedy"][3]) == 4.2
 
 
+def test_solve_all_writes_one_row_per_solver_name(greedy_hard_files, tmp_path):
+    # the solver name picks gist's schedule: solve takes no --schedule
+    inst, util = greedy_hard_files
+    out = tmp_path / "all.json"
+    args = ("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 6,
+            "--algorithm", "all", "--format", "json", "--out", out)
+    assert run(*args) == 0
+    assert [rec["algorithm"] for rec in json.loads(out.read_text())] == list(cli.SOLVERS)
+    with pytest.raises(SystemExit) as exc:
+        run(*args, "--schedule", "exhaustive")
+    assert exc.value.code == 2
+
+
 def test_solve_json_format(greedy_hard_files, tmp_path):
     inst, util = greedy_hard_files
     out = tmp_path / "out.json"
@@ -378,8 +391,8 @@ def test_subcommand_option_strings():
         "gen": {"--family", "--n", "--dim", "--k", "--eps-inst", "--alpha", "--beta",
                 "--monotone-variant", "--graph", "--set-family", "--lambda-override", "--seed",
                 "--out-instance", "--out-utility"},
-        "solve": files | {"--k", "--algorithm", "--schedule", "--seed", "--format", "--out"},
-        "sweep": files | {"--k-list", "--algorithms", "--seeds", "--schedule", "--out"},
+        "solve": files | {"--k", "--algorithm", "--seed", "--format", "--out"},
+        "sweep": files | {"--k-list", "--algorithms", "--seeds", "--out"},
         "verify": files | {"--k", "--seed", "--out"},
         "ingest": {"--embeddings", "--utility", "--alpha", "--alpha-s", "--beta-s", "--edges",
                    "--k", "--lam", "--epsilon", "--schedule", "--out"},

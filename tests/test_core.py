@@ -113,6 +113,15 @@ def test_diametrical_pair_is_lexicographically_smallest():
     assert (inst.d_max, inst.diametrical_pair()) == (3.0, (1, 4))
 
 
+def test_every_zero_distance_is_positive_zero():
+    signed = np.full((4, 4), -0.0)  # the diagonal included
+    inst = Instance.from_matrix(signed)
+    assert inst.d_max.hex() == "0x0.0p+0"
+    assert inst.diametrical_pair() == (0, 1)
+    assert not np.signbit(inst.distance_matrix()).any()
+    assert np.signbit(signed).all()  # the caller's array keeps its -0.0
+
+
 @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
 def test_mirror_upper_copies_the_upper_triangle_of_any_matrix(n):
     d = np.random.default_rng(n).standard_normal((n, n))  # not symmetric

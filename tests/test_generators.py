@@ -26,6 +26,8 @@ from divsel import (
     ratio_report,
 )
 
+from support import integer_cases
+
 TRIANGLE_TOL = 1e-9
 
 
@@ -305,6 +307,21 @@ def test_cover_reduction_brute_force_optimum():
 def test_cover_reduction_rejects_empty_family():
     with pytest.raises(InputError):
         gen_cover_reduction([])
+
+
+def test_cover_reduction_takes_integers_by_the_one_rule():
+    accepted, refused = integer_cases(2)
+    for x in accepted:
+        gen = gen_cover_reduction([[x, 1], [0]], groups=[x, 1])
+        assert gen.params["family"] == ((0,), (1, 2)) and gen.params["groups"] == (2, 1)
+        assert all(type(e) is int for s in gen.params["family"] for e in s + gen.params["groups"])
+    for bad in refused:
+        with pytest.raises(InputError, match="set element must be an integer"):
+            gen_cover_reduction([[bad, 1], [0]])
+        with pytest.raises(InputError, match="group label must be an integer"):
+            gen_cover_reduction([[2, 1], [0]], groups=[bad, 1])
+    with pytest.raises(InputError, match="set element must be an integer"):
+        gen_cover_reduction([[2.5, True], [1]], groups=[0.5, 1.7])
 
 
 # ---------------------------------------------------------------------------

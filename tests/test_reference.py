@@ -209,7 +209,7 @@ def test_cosine_matrix_and_diameter_match_literal_reference(n, dim, kind):
 
 def signed_zero_matrix(rng, n):
     """Distances from {-0.0, +0.0, 1, 2} with a +0.0 diagonal: both zeros
-    off the diagonal, so a dedup may keep either sign."""
+    off the diagonal, which an instance stores as +0.0."""
     m = np.triu(rng.choice([-0.0, 0.0, 0.0, 1.0, 2.0], (n, n)), 1)
     m = np.where(np.tri(n, k=-1, dtype=bool), m.T, m)
     np.fill_diagonal(m, 0.0)
@@ -225,7 +225,6 @@ def test_exhaustive_thresholds_match_unique_half_pairs():
         for inst in (Instance.from_matrix(signed_zero_matrix(rng, n)),
                      Instance.from_euclidean(duplicates), cosine_instance(rng, n)):
             problem = Problem(inst, ConstantZeroUtility(n), lam=1.0, k=1, schedule="exhaustive")
-            # np.unique's choice between -0.0 and +0.0 depends on its input's order
             pairs = np.sort(inst.distance_matrix()[np.triu_indices(n, 1)])
             expected = np.unique(pairs) / 2.0 if inst.d_max > 0 else np.empty(0)
             got = np.array(distance_thresholds(problem))
@@ -246,16 +245,10 @@ def zero_distance_instance(kind):
     return Instance.from_euclidean([[0, 0], [0, 0], [1, 0], [1, 0], [0, 2], [3, 1], [0, 2]])
 
 
-def hexed(instance, outcome):
-    """The selection and float.hex of f, g, div and the threshold.  A zero div
-    is compared by value alone when the selection holds pairs at both -0.0 and
-    +0.0: the sweep's running minimum and the reference's first minimum over
-    pairs may then keep different signs."""
+def hexed(outcome):
+    """The selection and float.hex of f, g, div and the threshold."""
     selected, f, g, d, threshold = outcome
-    pairs = instance.distance_matrix()[np.ix_(selected, selected)][np.triu_indices(len(selected), 1)]
-    signs = set(np.signbit(pairs[pairs == 0.0]).tolist())
-    d = d.hex() if d != 0.0 or len(signs) < 2 else d
-    return selected, f.hex(), g.hex(), d, None if threshold is None else threshold.hex()
+    return selected, f.hex(), g.hex(), d.hex(), None if threshold is None else threshold.hex()
 
 
 @pytest.mark.parametrize("kind", ["signed-zeros", "duplicate-points"])
@@ -273,7 +266,7 @@ def test_zero_thresholds_match_literal_reference(kind):
                     assert distance_thresholds(problem)[0] == 0.0
                 sol = gist(problem)
                 label = (kind, utility_kind, k, lam, schedule)
-                assert hexed(inst, outcome(sol)) == hexed(inst, reference.gist(problem)), label
+                assert hexed(outcome(sol)) == hexed(reference.gist(problem)), label
                 assert sol.oracle_calls == reference.gist_queries(problem), label
             for d in (0.0, -0.0):
                 expected, queries = reference.greedy(problem, d)
