@@ -21,14 +21,14 @@ algorithm is deterministic.
 
 from __future__ import annotations
 
-import bisect
 import math
 from itertools import islice, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import Instance, Problem, Solution, UtilityOracle, _run_args, _thresholds
+from .core import Instance, Problem, Solution, UtilityOracle, _run_args, _thresholds, integral
+from .errors import InputError
 from .utilities import ConstantZeroUtility, LinearUtility
 
 #: An offer: selection, reported threshold (0.0 at d = 0, None otherwise), (f, g, div).
@@ -226,21 +226,25 @@ def classic_greedy(problem: Problem) -> Solution:
 def random_baseline(problem: Problem, seed: int = 0) -> Solution:
     """Best prefix of a uniformly random ordered k-sample (seeded).
 
-    Draws k points without replacement in random order, evaluates the
-    objective on every prefix, and returns the best one (earliest on ties).
+    Draws k points without replacement in random order, scores every prefix
+    from one growing gain state, and returns the best (earliest on ties).
+    ``seed`` is an integer >= 0 by the one integer rule, else InputError.
     """
     inst, util, lam = problem.instance, problem.utility, problem.lam
+    seed = integral(seed, "seed")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     start = util.query_count
     rng = np.random.default_rng(seed)
     order = [int(v) for v in rng.permutation(inst.n)[: problem.k]]
     div_cur, rows = inst.d_max, inst.distance_matrix()
     min_dist = np.full(inst.n, np.inf)  # dist(v, prefix); +inf while it is empty
-    prefix, values = [], []  # prefix: the points drawn so far, sorted
+    state, values = util._gain_state(), []
     for v in order:
         div_cur = min(div_cur, float(min_dist[v]))
         np.minimum(min_dist, rows[v], out=min_dist)
-        bisect.insort(prefix, v)
+        state.add(v)
         util._queries.add(1)
-        g = util._value(tuple(prefix))
+        g = state.value()
         values.append((g + lam * div_cur, g, div_cur))
     return _best_candidate(problem, "random", start, _prefixes(order, values), seed)

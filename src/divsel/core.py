@@ -327,7 +327,7 @@ class UtilityOracle:
     A kind supplies ``g`` through three hooks, each given a sorted index tuple
     ``s`` and counting no queries:
 
-    * ``_value(s)``, required: g(S).
+    * ``_value(s)``, required: g(S), which may be its gain state's ``value()``.
     * ``_batch_marginal(cand, s)``, optional, for gains that need no running
       state: each candidate's g(S + v) - g(S).  The default takes value
       differences, computing g(S) once per call.  A gain must not depend on
@@ -394,9 +394,9 @@ class UtilityOracle:
 
 class _GainState:
     """Gains against a growing selection, unchecked: callers pass in-range candidates
-    disjoint from it.  ``gains`` counts one query per candidate; ``add`` grows the
-    selection.  This default asks ``_batch_marginal`` against the sorted selection ``s``;
-    a kind with its own gains overrides ``_gains``, and ``add`` if it keeps more state."""
+    disjoint from it.  ``gains`` counts one query per candidate, ``value`` (g of the
+    selection) none; ``add`` grows it.  This default asks ``_batch_marginal`` and ``_value``
+    on the sorted ``s``; a kind with its own state overrides ``_gains``, ``add`` and ``value``."""
 
     def __init__(self, utility: UtilityOracle, base: Iterable[int] = ()):
         self.utility, self.s = utility, tuple(sorted(base))
@@ -407,6 +407,9 @@ class _GainState:
 
     def _gains(self, cand: np.ndarray) -> np.ndarray:
         return self.utility._batch_marginal(cand, self.s)
+
+    def value(self) -> float:
+        return self.utility._value(self.s)
 
     def add(self, v: int) -> None:
         i = bisect.bisect(self.s, v)

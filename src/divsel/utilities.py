@@ -93,7 +93,7 @@ class CoverageUtility(UtilityOracle):
         return tuple(frozenset(c.tolist()) for c in np.split(self._ids[self._cols], self._ptr[1:-1]))
 
     def _value(self, s):
-        return float(np.count_nonzero(~_CoverageGains(self, s).uncovered))
+        return _CoverageGains(self, s).value()
 
     def _gain_state(self, base=()):
         return _CoverageGains(self, base)
@@ -117,6 +117,9 @@ class _CoverageGains(_GainState):
     def _gains(self, cand):
         return self.gain[cand]
 
+    def value(self):
+        return float(np.count_nonzero(~self.uncovered))
+
     def add(self, v):
         u = self.utility
         cols = u._cols[u._ptr[v]:u._ptr[v + 1]]
@@ -126,11 +129,10 @@ class _CoverageGains(_GainState):
 
 
 class BudgetAdditiveUtility(UtilityOracle):
-    """g(S) = alpha * min(sum of weights / k, beta).
-
-    A capped, budget-normalized average of per-point weights in [0, 1];
-    monotone and submodular, bounded by alpha * beta.  ``k`` is the cap's
-    normalizer and usually equals the selection budget.
+    """g(S) = alpha * min(sum of weights / k, beta), a capped average of weights in [0, 1];
+    monotone and submodular, bounded by alpha * beta.  ``k`` is the cap's normalizer, usually
+    the selection budget.  Sums are exact ints in units of 1 / ``_den``, a power of two that
+    makes every weight (53-bit mantissa) an integer, so g takes the weights' ``math.fsum``.
     """
 
     kind = "budget_additive"
@@ -150,27 +152,39 @@ class BudgetAdditiveUtility(UtilityOracle):
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.k = k
+        self._den = 2 ** min(53 - int(np.frexp(w)[1].min()), 1074)  # 2**1074 suits any float
 
-    def _sum(self, s):
-        return float(self.weights[np.fromiter(s, np.intp, len(s))].sum())
+    def _units(self, ws) -> int:  # sum(ws) * _den exactly, by floats while _den < 2**1024
+        return (sum(map(int, map(float(self._den).__mul__, ws))) if self._den.bit_length() <= 1024
+                else sum(n * (self._den // d) for n, d in map(float.as_integer_ratio, ws)))
 
     def _value(self, s):
-        return self.alpha * min(self._sum(s) / self.k, self.beta)
+        return _BudgetGains(self, s).value()
 
     def _gain_state(self, base=()):
         return _BudgetGains(self, base)
 
 
 class _BudgetGains(_GainState):
-    """alpha * min((total + w_v) / k, beta) - g(S) in place, total over the sorted selection."""
+    """alpha * min((total + w_v) / k, beta) - g(S) in place; total = units / _den, rounded once."""
+
+    def __init__(self, utility: BudgetAdditiveUtility, base=()):
+        self.utility, self.units = utility, utility._units(utility.weights[list(base)].tolist())
+
+    def add(self, v):
+        self.units += self.utility._units((self.utility.weights[v],))
+
+    def value(self):
+        u = self.utility  # int / int true division rounds correctly
+        return u.alpha * min(self.units / u._den / u.k, u.beta)
 
     def _gains(self, cand):
-        u, total = self.utility, self.utility._sum(self.s)  # a running sum rounds differently
-        gains = u.weights[cand] + total
+        u = self.utility
+        gains = u.weights[cand] + self.units / u._den
         gains /= u.k
         np.minimum(gains, u.beta, out=gains)
         gains *= u.alpha
-        return np.subtract(gains, u.alpha * min(total / u.k, u.beta), out=gains)
+        return np.subtract(gains, self.value(), out=gains)
 
 
 class MarginSimilarityUtility(UtilityOracle):
@@ -200,8 +214,8 @@ class MarginSimilarityUtility(UtilityOracle):
             raise InputError("uncertainty must be a nonempty 1-D array")
         if not np.isfinite(u).all() or (u < 0).any() or (u > 2).any():
             raise InputError("uncertainty scores must lie in [0, 2]")
-        if alpha_s < 0 or beta_s < 0:
-            raise InputError("alpha_s and beta_s must be nonnegative")
+        if not (0.0 <= alpha_s < np.inf and 0.0 <= beta_s < np.inf):  # NaN fails too
+            raise InputError(f"alpha_s {alpha_s} and beta_s {beta_s} must be finite and nonnegative")
         if (edges is None) == (similarity is None):
             raise InputError("provide exactly one of 'edges' or 'similarity'")
         u.setflags(write=False)
@@ -296,9 +310,7 @@ class TabulatedUtility(UtilityOracle):
         monotone_declared: bool = False,
         submodular_declared: bool = False,
     ):
-        n = integral(n, "tabulated ground set size")
-        if not 1 <= n <= self.MAX_N:
-            raise InputError(f"tabulated utilities support 1 <= n <= {self.MAX_N}")
+        n = self._size(n)
         table = np.array(values, dtype=np.float64)
         if table.shape != (1 << n,):
             raise InputError(f"expected 2^{n} subset values, got {table.shape}")
@@ -311,6 +323,14 @@ class TabulatedUtility(UtilityOracle):
         self.table = table
 
     @classmethod
+    def _size(cls, n) -> int:
+        """The ground set size ``n`` as an int, an integer in [1, MAX_N], else InputError."""
+        n = integral(n, "tabulated ground set size")
+        if not 1 <= n <= cls.MAX_N:
+            raise InputError(f"tabulated utilities support 1 <= n <= {cls.MAX_N}")
+        return n
+
+    @classmethod
     def from_function(
         cls,
         n: int,
@@ -319,7 +339,8 @@ class TabulatedUtility(UtilityOracle):
         monotone_declared: bool = False,
         submodular_declared: bool = False,
     ) -> "TabulatedUtility":
-        values = []
+        """Tabulate ``fn`` over every subset, after ``n`` passes the size rule."""
+        n, values = cls._size(n), []
         for mask in range(1 << n):
             subset = tuple(i for i in range(n) if mask >> i & 1)
             values.append(float(fn(subset)))

@@ -7,6 +7,7 @@ import pytest
 from divsel import (
     ConstantZeroUtility,
     CoverageUtility,
+    InputError,
     Instance,
     LinearUtility,
     Problem,
@@ -21,7 +22,7 @@ from divsel import (
     random_baseline,
     simple_baseline,
 )
-from support import METRIC_STYLES, make_utility, random_metric_instance
+from support import METRIC_STYLES, integer_cases, make_utility, random_metric_instance
 
 ALGORITHM_RUNS = [
     ("gist", lambda p: gist(p)),
@@ -245,6 +246,20 @@ def test_random_baseline_at_least_full_sample():
 def test_random_baseline_deterministic_under_seed():
     problem = gen_greedy_hard(10, 5, 0.2).to_problem()
     assert random_baseline(problem, 99) == random_baseline(problem, 99)
+
+
+def test_random_baseline_takes_seeds_by_the_one_integer_rule():
+    problem = gen_greedy_hard(10, 5, 0.2).to_problem()
+    accepted, refused = integer_cases()
+    expected = random_baseline(problem, 3)
+    for seed in accepted:
+        sol = random_baseline(problem, seed)
+        assert sol == expected and type(sol.seed) is int
+    before = problem.utility.query_count
+    for seed in refused + (-1,):  # None would draw OS entropy; -1 numpy refuses
+        with pytest.raises(InputError, match="seed"):
+            random_baseline(problem, seed)
+    assert problem.utility.query_count == before
 
 
 def test_random_baseline_full_ground_set_prefixes():

@@ -323,6 +323,21 @@ def test_ingest_margin_defaults(tmp_path):
     assert result["lam"] == pytest.approx(1.0 - 0.95)
 
 
+def test_margin_similarity_weights_must_be_finite(tmp_path):
+    emb, out = tmp_path / "emb.jsonl", tmp_path / "sel.json"
+    write_embeddings(emb, [{"embedding": [1.0, 0.0], "uncertainty": 0.3},
+                           {"embedding": [0.0, 1.0], "uncertainty": 0.6}])
+    for flag, value in (("--alpha-s", "nan"), ("--beta-s", "inf")):
+        assert run("ingest", "--embeddings", emb, "--utility", "margin_similarity", "--k", 2,
+                   flag, value, "--out", out) == 3
+    inst, util = tmp_path / "inst.json", tmp_path / "util.json"
+    inst.write_text(json.dumps({"n": 2, "metric": "euclidean", "points": [[0.0], [1.0]]}))
+    util.write_text(json.dumps({"kind": "margin_similarity", "uncertainty": [0.5, 0.5],
+                                "edges": [[0, 1, 0.5]], "alpha_s": math.nan}))
+    assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 2,
+               "--out", tmp_path / "x.csv") == 3
+
+
 def test_ingest_edge_file(tmp_path):
     emb = tmp_path / "emb.jsonl"
     rng = np.random.default_rng(6)

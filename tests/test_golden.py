@@ -37,8 +37,8 @@ from divsel import (
     simple_baseline,
 )
 
-GOLDEN = "d4cf17d74a48b71e7914c95e54833e665fbbe129bc10adcf42fe21b3c12b3ed8"
-GOLDEN_EXACT = "e90141513f124db0ce7332cab925ff9e3a5d64b53cec8347b5fcd894cfcd317d"
+GOLDEN = "4985480ef6cdf47c1e613bc9ff02d047068a2b566ad359aba2e134ac86e36383"
+GOLDEN_EXACT = "2960e0532f5639bf99a2849e1c0db8538569c7d603b6be3ac665d1d8647560d1"
 
 
 def instances(rng, n):

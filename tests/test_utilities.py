@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -144,12 +147,13 @@ def _agree(fast, slow, tol=1e-12):
     return abs(fast - slow) <= tol * max(1.0, abs(fast), abs(slow))
 
 
-@pytest.mark.parametrize("kind", ["linear", "coverage", "budget", "margin", "zero"])
+@pytest.mark.parametrize("kind", ["linear", "coverage", "budget", "margin", "zero", "tabulated"])
 def test_marginal_fast_path_matches_value_difference(kind):
-    rng = np.random.default_rng(sum(map(ord, kind)))
+    # and a gain state grown in shuffled order holds g of its selection, bit for bit
+    rng, shuffle = np.random.default_rng(sum(map(ord, kind))), np.random.default_rng(5)
     checked = 0
     while checked < 10_000:
-        n = int(rng.integers(2, 14))
+        n = int(rng.integers(2, 8 if kind == "tabulated" else 14))
         if kind == "linear":
             util = random_linear_utility(rng, n)
         elif kind == "coverage":
@@ -158,6 +162,9 @@ def test_marginal_fast_path_matches_value_difference(kind):
             util = random_budget_utility(rng, n, int(rng.integers(1, 6)))
         elif kind == "zero":
             util = ConstantZeroUtility(n)
+        elif kind == "tabulated":
+            weights = rng.uniform(0, 1, n)
+            util = TabulatedUtility.from_function(n, lambda s: math.sqrt(weights[list(s)].sum()))
         else:
             edges = [
                 (int(i), int(j), float(rng.uniform(-1, 1)))
@@ -182,6 +189,10 @@ def test_marginal_fast_path_matches_value_difference(kind):
             batch = util.batch_marginal([v], s)
             assert batch[0] == fast
             checked += 1
+        state = util._gain_state()  # once per utility, on its last s
+        for i in shuffle.permutation(s):
+            state.add(int(i))
+        assert state.value().hex() == util.evaluate(s).hex(), (kind, s)
 
 
 def test_batch_marginal_matches_singles():
@@ -221,9 +232,8 @@ def test_coverage_csr_matches_per_set_unique():
 
 
 def test_budget_additive_gains_are_bit_exact():
-    # the closed form over the sorted base's weight sum, bit for bit, through the
-    # public entry and through a gain state grown in shuffled order: a running sum
-    # would round differently
+    # the closed form over the correctly rounded weight sum, bit for bit, through the
+    # public entry and through a gain state grown in shuffled order
     rng = np.random.default_rng(31)
     for _ in range(200):
         n = int(rng.integers(2, 40))
@@ -232,7 +242,7 @@ def test_budget_additive_gains_are_bit_exact():
                                      float(rng.uniform(0.3, 1.0)), int(rng.integers(n, 2 * n)))
         s = [int(i) for i in rng.permutation(n)[: int(rng.integers(0, n))]]
         cand = [v for v in range(n) if v not in s]
-        total = util.weights[sorted(s)].sum()
+        total = math.fsum(util.weights[s].tolist())
         expected = [util.alpha * min((total + util.weights[v]) / util.k, util.beta)
                     - util.alpha * min(total / util.k, util.beta) for v in cand]
         assert util.batch_marginal(cand, s).tolist() == expected
@@ -240,6 +250,30 @@ def test_budget_additive_gains_are_bit_exact():
         for v in s:
             state.add(v)
         assert state.gains(np.array(cand)).tolist() == expected
+
+
+def test_budget_additive_sum_is_correctly_rounded():
+    # pairwise summation rounds 1 + 2**-53 + 2**-53 down to 1.0; the exact sum is
+    # 1 + 2**-52.  A subnormal weight makes the sum's unit 2**-1074, finer than a
+    # float scale can reach, and is not lost either
+    for tail in ([], [5e-324]):
+        util = BudgetAdditiveUtility([1.0, 2**-53, 2**-53] + tail, alpha=1.0, beta=1.0, k=4)
+        assert util.evaluate([0, 1, 2]).hex() == "0x1.0000000000001p-2"
+        for order in itertools.permutations(range(util.n)):
+            state = util._gain_state()
+            for v in order:
+                state.add(v)
+            assert state.value().hex() == "0x1.0000000000001p-2"
+    tiny = BudgetAdditiveUtility([5e-324, 5e-324, 2**-1022], alpha=1.0, beta=1.0, k=1)
+    assert tiny.evaluate([0, 1, 2]) == 2**-1022 + 1e-323
+    rng = np.random.default_rng(3)
+    for trial in range(200):
+        w = rng.uniform(0.0, 1.0, 12) ** rng.integers(1, 60, 12)  # long mantissas, many binades
+        if trial % 2:
+            w[rng.random(12) < 0.3] = rng.choice([5e-324, 3 * 2.0**-1070, 2**-1022])
+        util = BudgetAdditiveUtility(w, alpha=1.0, beta=1.0, k=16)
+        s = [int(i) for i in np.flatnonzero(rng.random(12) < 0.6)]
+        assert util.evaluate(s) == math.fsum(w[s].tolist()) / 16
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +371,10 @@ def test_utility_validation_errors():
     ignored = MarginSimilarityUtility([0.5, 0.5], similarity=[[9.0, 1.0], [1.0, 0.0]])
     assert ignored.evaluate([0, 1]) == 0.9 * 1.0 - 0.1 * 2.0
     assert TabulatedUtility(np.int64(2), [0.0, 1.0, 1.0, 2.0]).n == 2
+    for bad in (np.nan, np.inf, -0.5):  # finite and nonnegative, as lam
+        for params in ({"alpha_s": bad}, {"beta_s": bad}):
+            with pytest.raises(InputError, match="finite and nonnegative"):
+                MarginSimilarityUtility([0.5, 0.5], edges=[(0, 1, 0.5)], **params)
     for make in (lambda: CoverageUtility([[1.5], [1.2], [2.9]]),  # non-integral integers
                  lambda: CoverageUtility([[1], [2]], universe_size=5.5),
                  lambda: ConstantZeroUtility(3.7),
@@ -348,6 +386,15 @@ def test_utility_validation_errors():
                  lambda: BudgetAdditiveUtility([0.5], alpha=0.9, beta=0.5, k="2")):
         with pytest.raises(InputError, match="must be an integer"):
             make()
+
+
+def test_tabulated_from_function_checks_n_before_calling():
+    def fn(s):
+        raise AssertionError("fn called")
+
+    for n in (40, -1, 2.5):
+        with pytest.raises(InputError, match="tabulated"):
+            TabulatedUtility.from_function(n, fn)
 
 
 def test_tabulated_from_function_round_trip():
