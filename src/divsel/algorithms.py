@@ -37,7 +37,7 @@ _Candidate = tuple[Iterable[int], float | None, tuple[float, float, float]]
 
 def _threshold_tree(
     instance: Instance, utility: UtilityOracle, thresholds: np.ndarray, k: int
-) -> Iterator[tuple[list[int], int, int, float]]:
+) -> Iterator[tuple[list[int], int, int, float, float]]:
     """The greedy independent set at each of the ascending ``thresholds``: one
     depth-first sweep that shares the common prefixes of the runs.
 
@@ -46,8 +46,9 @@ def _threshold_tree(
     lowest index) is every threshold's pick up to dist(t, S); each higher one
     takes the best candidate it still has, in a branch with its own gain
     state, or its run ends at S.  Yields ``(selection in order, lo, hi,
-    run_div)`` by ascending ``lo``, ``run_div`` being the selection's minimum
-    distance (+inf below two points).  Exact linear and constant-zero
+    run_div, g)`` by ascending ``lo``, ``run_div`` being the selection's minimum
+    distance (+inf below two points) and ``g`` its utility, from the gain state
+    the run grew or a new one (no query counted).  Exact linear and constant-zero
     utilities (not subclasses) are asked once per point, at the root.
     """
     # pending paths: (S, lo, hi, dist(v, S) or +inf, candidates at thresholds[lo], run_div)
@@ -85,7 +86,7 @@ def _threshold_tree(
             sel.append(t)
             if state is not None:
                 state.add(t)
-        yield sel, lo, hi, run_div
+        yield sel, lo, hi, run_div, (state or utility._gain_state(sel)).value()
 
 
 def greedy_independent_set(
@@ -114,9 +115,9 @@ def _sweep_candidates(problem: Problem, schedule: np.ndarray) -> Iterator[_Candi
     thresholds with its largest (the one a later-wins loop would report)."""
     inst, util, lam = problem.instance, problem.utility, problem.lam
     thresholds = np.concatenate(([0.0], schedule))
-    for sel, lo, hi, run_div in _threshold_tree(inst, util, thresholds, problem.k):
+    for sel, lo, hi, run_div, g in _threshold_tree(inst, util, thresholds, problem.k):
         util._queries.add(1)  # one query per g; the solver built sel and pair: no index check
-        g, d = util._value(tuple(sorted(sel))), min(inst.d_max, run_div)
+        d = min(inst.d_max, run_div)
         value = (g + lam * d, g, d)
         if lo == 0:
             yield sel, 0.0, value

@@ -154,9 +154,8 @@ class BudgetAdditiveUtility(UtilityOracle):
         self.k = k
         self._den = 2 ** min(53 - int(np.frexp(w)[1].min()), 1074)  # 2**1074 suits any float
 
-    def _units(self, ws) -> int:  # sum(ws) * _den exactly, by floats while _den < 2**1024
-        return (sum(map(int, map(float(self._den).__mul__, ws))) if self._den.bit_length() <= 1024
-                else sum(n * (self._den // d) for n, d in map(float.as_integer_ratio, ws)))
+    def _units(self, ws) -> int:  # sum(ws) * _den exactly: each w is n / d, d divides _den
+        return sum(n * (self._den // d) for n, d in map(float.as_integer_ratio, ws))
 
     def _value(self, s):
         return _BudgetGains(self, s).value()

@@ -254,8 +254,8 @@ def test_budget_additive_gains_are_bit_exact():
 
 def test_budget_additive_sum_is_correctly_rounded():
     # pairwise summation rounds 1 + 2**-53 + 2**-53 down to 1.0; the exact sum is
-    # 1 + 2**-52.  A subnormal weight makes the sum's unit 2**-1074, finer than a
-    # float scale can reach, and is not lost either
+    # 1 + 2**-52.  A subnormal weight makes the sum's unit 2**-1074 and is not lost
+    # either
     for tail in ([], [5e-324]):
         util = BudgetAdditiveUtility([1.0, 2**-53, 2**-53] + tail, alpha=1.0, beta=1.0, k=4)
         assert util.evaluate([0, 1, 2]).hex() == "0x1.0000000000001p-2"
