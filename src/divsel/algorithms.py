@@ -27,16 +27,21 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import Instance, Problem, Solution, UtilityOracle, _run_args, _thresholds, integral
+from .core import VALUE_RTOL, Instance, Problem, Solution, UtilityOracle, _run_args, _thresholds, integral
 from .errors import InputError
-from .utilities import ConstantZeroUtility, LinearUtility
+from .utilities import BudgetAdditiveUtility, ConstantZeroUtility, CoverageUtility, LinearUtility
 
 #: An offer: selection, reported threshold (0.0 at d = 0, None otherwise), (f, g, div).
 _Candidate = tuple[Iterable[int], float | None, tuple[float, float, float]]
 
+#: Exact kinds monotone and submodular by construction, with gains computed >= 0 (a subclass
+#: may change its gains; a TabulatedUtility may declare either property falsely).
+_BOUNDED = (LinearUtility, ConstantZeroUtility, CoverageUtility, BudgetAdditiveUtility)
+
 
 def _threshold_tree(
-    instance: Instance, utility: UtilityOracle, thresholds: np.ndarray, k: int
+    instance: Instance, utility: UtilityOracle, thresholds: np.ndarray, k: int,
+    lam: float, best: list[float],
 ) -> Iterator[tuple[list[int], int, int, float, float]]:
     """The greedy independent set at each of the ascending ``thresholds``: one
     depth-first sweep that shares the common prefixes of the runs.
@@ -50,43 +55,70 @@ def _threshold_tree(
     distance (+inf below two points) and ``g`` its utility, from the gain state
     the run grew or a new one (no query counted).  Exact linear and constant-zero
     utilities (not subclasses) are asked once per point, at the root.
+
+    For a kind of :data:`_BOUNDED`, a path at prefix S with candidates C only
+    has runs of f <= g(S) + (the k - |S| largest gains at S over C) + ``lam`` *
+    min(d_max, run_div), g(S) summed from the picks' gains.  It is dropped when
+    that plus ``VALUE_RTOL`` * |bound| is below ``best[0]``, the largest f
+    offered so far: a branch by its parent's gains, a step by the cap with
+    (k - |S|) * (largest gain) in place of the sum.
     """
-    # pending paths: (S, lo, hi, dist(v, S) or +inf, candidates at thresholds[lo], run_div)
-    n, rows, cut = instance.n, instance.distance_matrix(), thresholds.searchsorted
-    paths = [([], 0, len(thresholds) - 1, np.full(n, np.inf), np.arange(n), math.inf)]
+    # pending paths: (S, lo, hi, dist(v, S) or +inf, candidates at thresholds[lo], run_div,
+    # g(S), None or a branch's (g, the pick's gain, gains over its candidates) at its parent)
+    n, rows, cut, d_max = instance.n, instance.distance_matrix(), thresholds.searchsorted, instance.d_max
+    paths = [([], 0, len(thresholds) - 1, np.full(n, np.inf), np.arange(n), math.inf, 0.0, None)]
     fixed = None  # exact linear or zero gains do not depend on S: ask each point's once
     if type(utility) in (LinearUtility, ConstantZeroUtility):
         fixed = utility._gain_state().gains(np.arange(n))
+    bounded = type(utility) in _BOUNDED
     while paths:
-        sel, lo, hi, min_dist, cand, run_div = paths.pop()
+        sel, lo, hi, min_dist, cand, run_div, g, parent = paths.pop()
+        limit = best[0] if bounded and best[0] > -math.inf else None  # None: nothing to skip
+        if parent is not None and limit is not None:  # runs P + R, P the parent, R in its gains
+            g0, top, pg = parent  # runs ending at P: no gains, top 0
+            r, tail = k - len(sel) + 1, lam * min(d_max, run_div)
+            bound = g0 + r * top + tail
+            if bound + VALUE_RTOL * abs(bound) >= limit:
+                top_r = pg if r >= pg.size else np.partition(pg, pg.size - r)[pg.size - r:]
+                bound = g0 + math.fsum(top_r.tolist()) + tail
+            if bound + VALUE_RTOL * abs(bound) < limit:
+                continue
         floor = thresholds[lo]
         state = utility._gain_state(sel) if fixed is None and cand.size and len(sel) < k else None
         while len(sel) < k and cand.size:
             gains = fixed[cand] if state is None else state.gains(cand)
-            t = int(cand[gains.argmax()])
+            i = gains.argmax()
+            t, gain = int(cand[i]), gains.item(i)
+            if limit is not None:
+                bound = g + (k - len(sel)) * gain + lam * min(d_max, run_div)
+                if bound + VALUE_RTOL * abs(bound) < limit:
+                    break  # no run through S can beat the best offer
             top = last = min(hi, int(cut(min_dist[t], "right")) - 1)
             at = len(paths)  # each higher branch goes below the lower ones: they pop ascending
             while last < hi:  # peel off the thresholds above dist(t, S)
                 first = last + 1
                 sub = (min_dist[cand] >= thresholds[first]).nonzero()[0]
                 if not sub.size:  # their runs end at S
-                    paths.insert(at, (sel.copy(), first, hi, None, sub, run_div))
+                    paths.insert(at, (sel.copy(), first, hi, None, sub, run_div, g, (g, 0.0, gains[sub])))
                     break
                 rest = cand[sub]  # thresholds[first] > dist(t, S) >= 0: u's zero entry drops it
-                u = int(rest[gains[sub].argmax()])
+                pg = gains[sub]
+                j = pg.argmax()
+                u, gu = int(rest[j]), pg.item(j)
                 row = rows[u]
                 last = min(hi, int(cut(min_dist[u], "right")) - 1)
                 paths.insert(at, (sel + [u], first, last, np.minimum(min_dist, row),
                                   rest[row[rest] >= thresholds[first]],
-                                  min(run_div, float(min_dist[u]))))
+                                  min(run_div, float(min_dist[u])), g + gu, (g, gu, pg)))
             row = rows[t]  # a floor above 0 drops t itself through its zero diagonal entry
             cand = cand[row[cand] >= floor] if floor > 0 else cand[cand != t]
-            hi, run_div = top, min(run_div, float(min_dist[t]))
+            hi, run_div, g = top, min(run_div, float(min_dist[t])), g + gain
             np.minimum(min_dist, row, out=min_dist)
             sel.append(t)
             if state is not None:
                 state.add(t)
-        yield sel, lo, hi, run_div, (state or utility._gain_state(sel)).value()
+        else:
+            yield sel, lo, hi, run_div, (state or utility._gain_state(sel)).value()
 
 
 def greedy_independent_set(
@@ -106,25 +138,29 @@ def greedy_independent_set(
     and booleans do not); a ``k`` above n selects at most n points.
     """
     k = _run_args(instance, utility, d, k)
-    return next(_threshold_tree(instance, utility, np.array([d], dtype=np.float64), k))[0]
+    return next(_threshold_tree(instance, utility, np.array([d], dtype=np.float64), k, 0.0, [-math.inf]))[0]
 
 
 def _sweep_candidates(problem: Problem, schedule: np.ndarray) -> Iterator[_Candidate]:
     """One sweep over ``[0.0] + schedule``, offered in order: the run at d = 0,
     a diametrical pair when k >= 2, then each distinct run holding schedule
-    thresholds with its largest (the one a later-wins loop would report)."""
+    thresholds with its largest (the one a later-wins loop would report); the
+    sweep sees the largest f offered so far, to skip runs that stay below it."""
     inst, util, lam = problem.instance, problem.utility, problem.lam
     thresholds = np.concatenate(([0.0], schedule))
-    for sel, lo, hi, run_div, g in _threshold_tree(inst, util, thresholds, problem.k):
+    best = [-math.inf]
+    for sel, lo, hi, run_div, g in _threshold_tree(inst, util, thresholds, problem.k, lam, best):
         util._queries.add(1)  # one query per g; the solver built sel and pair: no index check
         d = min(inst.d_max, run_div)
         value = (g + lam * d, g, d)
+        best[0] = max(best[0], value[0])
         if lo == 0:
             yield sel, 0.0, value
             if problem.k >= 2 and inst.n >= 2:
                 pair, d = inst.diametrical_pair(), inst.d_max  # the pair's distance is d_max
                 util._queries.add(1)
                 g = util._value(pair)
+                best[0] = max(best[0], g + lam * d)
                 yield pair, None, (g + lam * d, g, d)
         if hi > 0:
             yield sel, float(thresholds[hi]), value
@@ -169,9 +205,10 @@ def gist(problem: Problem) -> Solution:
     run over the schedule, from a sweep that asks the gains at a prefix the
     runs share once (an exact linear or constant-zero utility's only once per
     point, for the whole sweep).  Each is evaluated once; a later candidate
-    replaces an equal one.  The reported ``winning_threshold`` is 0.0 for the
-    greedy pass, ``None`` for the diametrical pair, and otherwise the winning
-    run's largest.
+    replaces an equal one; runs whose bound lies below a candidate already
+    offered are skipped, unasked (see :func:`_threshold_tree`).  The reported
+    ``winning_threshold`` is 0.0 for the greedy pass, ``None`` for the
+    diametrical pair, and otherwise the winning run's largest.
     """
     label = "gist" if problem.schedule == "geometric" else "gist-exhaustive"
     start = problem.utility.query_count

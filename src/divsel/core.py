@@ -323,6 +323,7 @@ class UtilityOracle:
     already known when a marginal ``g(S + v) - g(S)`` is requested.  Solvers
     ask an exact :class:`LinearUtility` or :class:`ConstantZeroUtility` (not a
     subclass) for each point's gain once per sweep, since it never changes.
+    ``gist`` asks nothing for the runs its sweep skips as unable to win.
 
     A kind supplies ``g`` through three hooks, each given a sorted index tuple
     ``s`` and counting no queries:

@@ -14,10 +14,19 @@ asked once per point in all.  Slow by design: only for small test problems.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from divsel import ConstantZeroUtility, LinearUtility, Problem, distance_thresholds
+from divsel import (
+    BudgetAdditiveUtility,
+    ConstantZeroUtility,
+    CoverageUtility,
+    LinearUtility,
+    Problem,
+    distance_thresholds,
+)
+from divsel.core import VALUE_RTOL
 
 
 def cosine_distance_matrix(points) -> np.ndarray:
@@ -116,8 +125,9 @@ def gist(problem: Problem) -> tuple:
     return best(problem, extreme_candidates(problem) + [(greedy(problem, d)[0], d) for d in thresholds])
 
 
-def gist_queries(problem: Problem) -> int:
-    """The oracle queries of a gist that shares its runs' common prefixes.
+def gist_queries_unpruned(problem: Problem) -> int:
+    """The oracle queries of a gist that shares its runs' common prefixes and
+    skips no run.
 
     Gains are asked once at each distinct prefix P of the runs at d = 0 and
     at every threshold with |P| < k, for the candidates at the smallest
@@ -136,6 +146,105 @@ def gist_queries(problem: Problem) -> int:
         len(candidates_at(problem, list(p), d)) for p, d in lowest.items())
     distinct_runs = 1 + sum(a != b for a, b in zip(runs, runs[1:]))
     return gains + distinct_runs + (problem.k >= 2 and problem.instance.n >= 2)
+
+
+def pruned_sweep(problem: Problem) -> tuple[int, list[tuple[list[int], float, list[int]]]]:
+    """The oracle queries of gist's sweep with its skip rule, and the subtrees
+    it skips, each as ``(prefix, bound, indices into [0.0] + thresholds of the
+    runs inside)``.
+
+    The sweep is :func:`gist_queries_unpruned`'s, walked run by run in
+    threshold order.  A node is a prefix P of the runs, reached first by the
+    run at the lowest threshold d_P through it, and is decided then against
+    ``best``, the largest f among the candidates offered before that run (the
+    d = 0 run, then the diametrical pair, then each distinct run not skipped).
+    Only for an exact linear, constant-zero, coverage or budget-additive
+    utility, with g(S) the running sum of ``marginal`` gains of S's picks in
+    order, gains clipped at 0, div(S) by :func:`div` and
+    ``skipped(bound) = bound + VALUE_RTOL * |bound| < best``:
+
+    * a branch, a node P + u with d_{P+u} > d_P, is skipped when
+      g(P) + (sum of the r = k - |P| largest gains at P over the candidates at
+      d_{P+u}) + lam * div(P + u) is;
+    * a node P that asks gains (|P| < k, candidates at d_P) asks them, and its
+      subtree is skipped when g(P) + r * (largest gain) + lam * div(P) is;
+    * the runs that end at P from a threshold above d_P on are skipped when
+      g(P) + lam * div(P) is.
+
+    A skipped subtree asks nothing more, and its runs are not evaluated.
+    """
+    util, inst, lam, k = problem.utility, problem.instance, problem.lam, problem.k
+    thresholds = [0.0] + distance_thresholds(problem)
+    runs = [greedy(problem, d)[0] for d in thresholds]
+    bounded = type(util) in (LinearUtility, ConstantZeroUtility, CoverageUtility,
+                             BudgetAdditiveUtility)
+    best = -math.inf
+    queries = inst.n if fixed_gains(problem) else 0
+
+    def lowest(prefix):
+        return next(i for i, run in enumerate(runs) if run[:len(prefix)] == prefix)
+
+    def gains(prefix, d):
+        return [max(0.0, util.marginal(v, prefix)) for v in candidates_at(problem, prefix, d)]
+
+    def g(prefix):
+        total = 0.0
+        for size, v in enumerate(prefix):
+            total += util.marginal(v, prefix[:size])
+        return total
+
+    def skipped(bound):
+        return bounded and bound + VALUE_RTOL * abs(bound) < best
+
+    def node(prefix, j):
+        """The bound that skips the subtree at ``prefix``, first reached by run j, or None."""
+        nonlocal queries
+        parent = prefix[:-1]
+        if prefix and j > lowest(parent):  # a branch off its parent's run
+            top = sorted(gains(parent, thresholds[j]))[len(parent) - k:]
+            bound = g(parent) + math.fsum(top) + lam * div(problem, prefix)
+            if skipped(bound):
+                return bound
+        here = gains(prefix, thresholds[j]) if len(prefix) < k else []
+        if not fixed_gains(problem):
+            queries += len(here)
+        bound = g(prefix) + (k - len(prefix)) * max(here, default=0.0) + lam * div(problem, prefix)
+        return bound if here and skipped(bound) else None
+
+    decided: dict[tuple, float | None] = {}  # a node, or ("end", P) for the runs ending at P
+    skips = []
+    for j, run in enumerate(runs):
+        for size in range(len(run) + 1):
+            prefix = run[:size]
+            if tuple(prefix) not in decided:  # first reached by this run
+                decided[tuple(prefix)] = node(prefix, j)
+                if decided[tuple(prefix)] is not None:
+                    skips.append((prefix, decided[tuple(prefix)],
+                                  [i for i, r in enumerate(runs) if r[:size] == prefix]))
+            if decided[tuple(prefix)] is not None:
+                break
+        else:
+            end = ("end",) + tuple(run)
+            if end not in decided:
+                # the runs ending at P from a threshold above P's node are a branch of their own
+                bound = g(run) + lam * div(problem, run)
+                decided[end] = bound if runs.index(run) > lowest(run) and skipped(bound) else None
+                if decided[end] is not None:
+                    skips.append((run, bound, [i for i, r in enumerate(runs) if r == run]))
+            if decided[end] is None:
+                if j == 0 or run != runs[j - 1]:  # one evaluation per distinct run
+                    queries += 1
+                    best = max(best, util.evaluate(run) + lam * div(problem, run))
+                if j == 0 and k >= 2 and inst.n >= 2:
+                    queries += 1
+                    pair = extreme_candidates(problem)[1][0]
+                    best = max(best, util.evaluate(pair) + lam * div(problem, pair))
+    return queries, skips
+
+
+def gist_queries(problem: Problem) -> int:
+    """The oracle queries of gist: :func:`pruned_sweep`'s."""
+    return pruned_sweep(problem)[0]
 
 
 def random_baseline(problem: Problem, seed: int) -> tuple:

@@ -37,7 +37,7 @@ from divsel import (
     simple_baseline,
 )
 
-GOLDEN = "4985480ef6cdf47c1e613bc9ff02d047068a2b566ad359aba2e134ac86e36383"
+GOLDEN = "9317879576bcb29cb9b270d794000f105ead74d66266e2a8082fc960871e7aa9"
 GOLDEN_EXACT = "2960e0532f5639bf99a2849e1c0db8538569c7d603b6be3ac665d1d8647560d1"
 
 

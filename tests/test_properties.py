@@ -1,7 +1,8 @@
 """Property tests: every solver against the literal reference on generated
 degenerate problems (duplicate points, all-equal distances, n = 1, k = n,
 lam = 0, the zero utility, tied weights and nearly antipodal cosine
-vectors), with their oracle query counts, and none above the exact optimum."""
+vectors), with their oracle query counts, and none above the exact optimum;
+every run gist's sweep skips scores below its best."""
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from divsel import (  # noqa: E402
     random_baseline,
     simple_baseline,
 )
+from divsel.core import VALUE_RTOL  # noqa: E402
 from support import counted  # noqa: E402
 
 
@@ -84,11 +86,25 @@ def test_gist_and_simple_baseline_match_literal_reference(problem):
     sol = gist(problem)
     assert outcome(sol) == reference.gist(problem)
     assert sol.oracle_calls == reference.gist_queries(problem)
+    assert sol.oracle_calls <= reference.gist_queries_unpruned(problem)
     assert sol.oracle_calls <= n * k * (len(distance_thresholds(problem)) + 2)
     simple = simple_baseline(problem)
     assert outcome(simple) == reference.simple_baseline(problem)
     pair = k >= 2 and n >= 2
     assert simple.oracle_calls == reference.greedy(problem, 0.0)[1] + 1 + pair
+
+
+@given(problems())
+def test_every_run_the_sweep_skips_is_below_the_best(problem):
+    # the skip rule's bound is at least f of every run in the subtree it drops
+    best_f = reference.gist(problem)[1]
+    thresholds = [0.0] + distance_thresholds(problem)
+    for prefix, bound, inside in reference.pruned_sweep(problem)[1]:
+        for i in inside:
+            run = reference.greedy(problem, thresholds[i])[0]
+            assert run[:len(prefix)] == prefix
+            f = problem.utility.evaluate(run) + problem.lam * reference.div(problem, run)
+            assert f <= bound + VALUE_RTOL * abs(bound) and f < best_f, (prefix, run)
 
 
 @given(problems())

@@ -16,11 +16,13 @@ import pytest
 
 import reference
 from divsel import (
+    BudgetAdditiveUtility,
     ConstantZeroUtility,
     Instance,
     LinearUtility,
     MarginSimilarityUtility,
     Problem,
+    TabulatedUtility,
     UtilityOracle,
     brute_force_constrained,
     brute_force_opt,
@@ -153,7 +155,9 @@ def test_random_baseline_matches_literal_reference(instance_kind):
 @pytest.mark.parametrize("instance_kind", sorted(INSTANCES))
 def test_gist_counts_gains_once_per_distinct_prefix(instance_kind):
     for problem, label in problems(instance_kind):
-        assert gist(problem).oracle_calls == reference.gist_queries(problem), label
+        calls = gist(problem).oracle_calls
+        assert calls == reference.gist_queries(problem), label
+        assert calls <= reference.gist_queries_unpruned(problem), label
 
 
 def exact(value, witness, examined, feasible):
@@ -268,8 +272,95 @@ def test_zero_thresholds_match_literal_reference(kind):
                 label = (kind, utility_kind, k, lam, schedule)
                 assert hexed(outcome(sol)) == hexed(reference.gist(problem)), label
                 assert sol.oracle_calls == reference.gist_queries(problem), label
+                assert sol.oracle_calls <= reference.gist_queries_unpruned(problem), label
             for d in (0.0, -0.0):
                 expected, queries = reference.greedy(problem, d)
                 before = util.query_count
                 assert greedy_independent_set(inst, util, d, k) == expected, (label, d)
                 assert util.query_count - before == queries, (label, d)
+
+
+def lowdim_problems(utility_of, lams=(0.0, 0.05, 0.5)):
+    """Problems like the low-dimensional benchmark family, where the sweep skips
+    many runs: n = 9 Gaussian points in the plane, k = 4, both schedules."""
+    for seed in range(6):
+        rng = np.random.default_rng(900 + seed)
+        inst = Instance.from_euclidean(rng.standard_normal((9, 2)))
+        util = utility_of(rng, 9)
+        for lam in lams:
+            for schedule in ("geometric", "exhaustive"):
+                problem = Problem(inst, util, lam=lam, k=4, epsilon=0.2, schedule=schedule)
+                yield problem, (seed, lam, schedule)
+
+
+def test_tied_runs_are_never_skipped():
+    # every run has the same f, so later-wins reports the last threshold's run
+    # and the sweep may skip none of them
+    def capped(rng, n):  # each point alone reaches the cap: every nonempty run scores alpha*beta
+        return BudgetAdditiveUtility(rng.uniform(0.5, 1.0, n), alpha=0.9, beta=0.1, k=4)
+
+    for utility_of in (lambda rng, n: ConstantZeroUtility(n), capped):
+        for problem, label in lowdim_problems(utility_of, lams=(0.0,)):
+            sol = gist(problem)
+            expected = reference.gist(problem)
+            assert outcome(sol) == expected, label
+            assert sol.winning_threshold == expected[4] == distance_thresholds(problem)[-1], label
+            assert sol.oracle_calls == reference.gist_queries(problem), label
+            assert sol.oracle_calls == reference.gist_queries_unpruned(problem), label
+
+
+@pytest.mark.parametrize("kind", ["linear", "budget"])
+def test_many_binade_weights_match_literal_reference(kind):
+    # weights u**p with p up to 29 spread the running sums and gains over many
+    # binades, where rounding could push a bound across the best f
+    for seed in range(8):
+        rng = np.random.default_rng(950 + seed)
+        n = int(rng.integers(6, 11))
+        weights = rng.uniform(0.0, 1.0, n) ** rng.integers(1, 30, n)
+        k = int(rng.integers(2, n + 1))
+        util = (LinearUtility(weights) if kind == "linear"
+                else BudgetAdditiveUtility(weights, alpha=0.95, beta=0.75, k=k))
+        inst = Instance.from_euclidean(rng.standard_normal((n, 2)))
+        for lam in (0.0, 0.5):
+            for schedule in ("geometric", "exhaustive"):
+                problem = Problem(inst, util, lam=lam, k=k, epsilon=0.2, schedule=schedule)
+                sol = gist(problem)
+                label = (kind, seed, lam, schedule)
+                assert hexed(outcome(sol)) == hexed(reference.gist(problem)), label
+                assert sol.oracle_calls == reference.gist_queries(problem), label
+
+
+def negative_similarities(rng, n):
+    """Symmetric similarities in (-1, 0] with a zero diagonal: a supermodular g."""
+    sim = np.triu(rng.uniform(-1.0, 0.0, (n, n)), 1)
+    return sim + sim.T
+
+
+def supermodular_table(rng, n):
+    """A tabulated g, declared monotone and submodular, that is neither: the
+    square of a weight sum, less 0.4 per point."""
+    weights = rng.uniform(0.0, 1.0, n)
+    return TabulatedUtility.from_function(
+        n, lambda s: float(weights[list(s)].sum()) ** 2 - 0.4 * len(s),
+        monotone_declared=True, submodular_declared=True)
+
+
+@pytest.mark.parametrize("kind", ["margin-negative", "tabulated-liar", "linear-subclass"])
+def test_kinds_outside_the_bound_never_skip(kind):
+    # the bound holds only for kinds submodular and monotone by construction;
+    # these declare submodularity (or subclass a kind that has it) and skip nothing
+    utility_of = {
+        "margin-negative": lambda rng, n: MarginSimilarityUtility(
+            rng.uniform(0.0, 2.0, n), similarity=negative_similarities(rng, n), beta_s=0.5),
+        "tabulated-liar": supermodular_table,
+        "linear-subclass": lambda rng, n: SubclassedLinear(rng.uniform(0.0, 1.0, n)),
+    }[kind]
+    for problem, label in lowdim_problems(utility_of):
+        sol = gist(problem)
+        assert outcome(sol) == reference.gist(problem), label
+        assert sol.oracle_calls == reference.gist_queries_unpruned(problem), label
+        if kind == "linear-subclass":  # the same weights as an exact linear utility do skip
+            exact = Problem(problem.instance, LinearUtility(problem.utility.weights),
+                            lam=problem.lam, k=problem.k, epsilon=0.2, schedule=problem.schedule)
+            calls = gist(exact).oracle_calls
+            assert calls == reference.gist_queries(exact) < reference.gist_queries_unpruned(exact), label
