@@ -49,12 +49,13 @@ def _threshold_tree(
     At a prefix S of the runs at ``thresholds[lo:hi + 1]``, gains are asked
     once, for the candidates at ``thresholds[lo]``.  Their pick t (ties to the
     lowest index) is every threshold's pick up to dist(t, S); each higher one
-    takes the best candidate it still has, in a branch with its own gain
-    state, or its run ends at S.  Yields ``(selection in order, lo, hi,
+    takes the best candidate it still has, in a branch, or its run ends at S.
+    Each path carries its own gain state: the root builds one; a branch copies the
+    state at S and adds its pick when popped.  Yields ``(selection in order, lo, hi,
     run_div, g)`` by ascending ``lo``, ``run_div`` being the selection's minimum
-    distance (+inf below two points) and ``g`` its utility, from the gain state
-    the run grew or a new one (no query counted).  Exact linear and constant-zero
-    utilities (not subclasses) are asked once per point, at the root.
+    distance (+inf below two points) and ``g`` its utility, by its state (no query
+    counted).  Exact linear and constant-zero utilities (not subclasses), asked
+    once per point at the root, carry no state: each run's g is a new one's.
 
     For a kind of :data:`_BOUNDED`, a path at prefix S with candidates C only
     has runs of f <= g(S) + (the k - |S| largest gains at S over C) + ``lam`` *
@@ -63,16 +64,16 @@ def _threshold_tree(
     offered so far: a branch by its parent's gains, a step by the cap with
     (k - |S|) * (largest gain) in place of the sum.
     """
-    # pending paths: (S, lo, hi, dist(v, S) or +inf, candidates at thresholds[lo], run_div,
-    # g(S), None or a branch's (g, the pick's gain, gains over its candidates) at its parent)
+    # pending paths: (S, lo, hi, dist(v, S) or +inf, candidates at thresholds[lo], run_div, g(S),
+    # its own gain state (None: fixed gains), None or a branch's (g, pick's gain, its gains) at its parent)
     n, rows, cut, d_max = instance.n, instance.distance_matrix(), thresholds.searchsorted, instance.d_max
-    paths = [([], 0, len(thresholds) - 1, np.full(n, np.inf), np.arange(n), math.inf, 0.0, None)]
-    fixed = None  # exact linear or zero gains do not depend on S: ask each point's once
-    if type(utility) in (LinearUtility, ConstantZeroUtility):
-        fixed = utility._gain_state().gains(np.arange(n))
+    root = utility._gain_state()  # fixed: exact linear or zero gains do not depend on S, asked once
+    fixed = root.gains(np.arange(n)) if type(utility) in (LinearUtility, ConstantZeroUtility) else None
+    paths = [([], 0, len(thresholds) - 1, np.full(n, np.inf), np.arange(n), math.inf, 0.0,
+              root if fixed is None else None, None)]
     bounded = type(utility) in _BOUNDED
     while paths:
-        sel, lo, hi, min_dist, cand, run_div, g, parent = paths.pop()
+        sel, lo, hi, min_dist, cand, run_div, g, state, parent = paths.pop()
         limit = best[0] if bounded and best[0] > -math.inf else None  # None: nothing to skip
         if parent is not None and limit is not None:  # runs P + R, P the parent, R in its gains
             g0, top, pg = parent  # runs ending at P: no gains, top 0
@@ -83,8 +84,9 @@ def _threshold_tree(
                 bound = g0 + math.fsum(top_r.tolist()) + tail
             if bound + VALUE_RTOL * abs(bound) < limit:
                 continue
+        if parent is not None and min_dist is not None and state is not None:  # a branch with a pick:
+            state.add(sel[-1])  # it joins the branch's copy of its parent's state once the bound keeps it
         floor = thresholds[lo]
-        state = utility._gain_state(sel) if fixed is None and cand.size and len(sel) < k else None
         while len(sel) < k and cand.size:
             gains = fixed[cand] if state is None else state.gains(cand)
             i = gains.argmax()
@@ -99,7 +101,8 @@ def _threshold_tree(
                 first = last + 1
                 sub = (min_dist[cand] >= thresholds[first]).nonzero()[0]
                 if not sub.size:  # their runs end at S
-                    paths.insert(at, (sel.copy(), first, hi, None, sub, run_div, g, (g, 0.0, gains[sub])))
+                    paths.insert(at, (sel.copy(), first, hi, None, sub, run_div, g,
+                                      state and state.copy(), (g, 0.0, gains[sub])))
                     break
                 rest = cand[sub]  # thresholds[first] > dist(t, S) >= 0: u's zero entry drops it
                 pg = gains[sub]
@@ -108,8 +111,8 @@ def _threshold_tree(
                 row = rows[u]
                 last = min(hi, int(cut(min_dist[u], "right")) - 1)
                 paths.insert(at, (sel + [u], first, last, np.minimum(min_dist, row),
-                                  rest[row[rest] >= thresholds[first]],
-                                  min(run_div, float(min_dist[u])), g + gu, (g, gu, pg)))
+                                  rest[row[rest] >= thresholds[first]], min(run_div, float(min_dist[u])),
+                                  g + gu, state and state.copy(), (g, gu, pg)))
             row = rows[t]  # a floor above 0 drops t itself through its zero diagonal entry
             cand = cand[row[cand] >= floor] if floor > 0 else cand[cand != t]
             hi, run_div, g = top, min(run_div, float(min_dist[t])), g + gain

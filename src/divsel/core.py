@@ -334,8 +334,8 @@ class UtilityOracle:
       differences, computing g(S) once per call.  A gain must not depend on
       the rest of the batch, bit for bit: the sweep scores a superset of some
       runs' candidates.
-    * ``_gain_state(base)``, optional, where state kept across a growing
-      selection pays (coverage, budget-additive): a :class:`_GainState` subclass.
+    * ``_gain_state(base)``, optional, where state kept across a growing selection
+      pays (coverage, budget-additive): a :class:`_GainState`; its ``copy()`` shares no mutable array.
 
     The public ``marginal`` is ``batch_marginal`` of one candidate, and both
     reach the hooks through ``_gain_state``, as the solvers do.  Parameters
@@ -396,7 +396,8 @@ class UtilityOracle:
 class _GainState:
     """Gains against a growing selection, unchecked: callers pass in-range candidates
     disjoint from it.  ``gains`` counts one query per candidate, ``value`` (g of the
-    selection) none; ``add`` grows it.  This default asks ``_batch_marginal`` and ``_value``
+    selection) none; ``add`` grows it; ``copy`` shares no mutable array with it (this one
+    copies each numpy array attribute).  This default asks ``_batch_marginal`` and ``_value``
     on the sorted ``s``; a kind with its own state overrides ``_gains``, ``add`` and ``value``."""
 
     def __init__(self, utility: UtilityOracle, base: Iterable[int] = ()):
@@ -415,6 +416,11 @@ class _GainState:
     def add(self, v: int) -> None:
         i = bisect.bisect(self.s, v)
         self.s = self.s[:i] + (int(v),) + self.s[i:]
+
+    def copy(self) -> "_GainState":  # not copy.copy, twice as slow: the sweep copies per branch
+        new = object.__new__(type(self))
+        new.__dict__ = {a: v.copy() if isinstance(v, np.ndarray) else v for a, v in vars(self).items()}
+        return new
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,8 @@ class LinearUtility(UtilityOracle):
 
 
 class CoverageUtility(UtilityOracle):
-    """g(S) = size of the union of the element sets attached to the chosen points."""
+    """g(S) = size of the union of the element sets attached to the chosen points.  Beside its
+    CSR arrays it derives ``_el_len``, points per element, and ``_counts``, elements per point."""
 
     kind = "coverage"
 
@@ -87,6 +88,7 @@ class CoverageUtility(UtilityOracle):
         self._ptr = np.concatenate(([0], np.cumsum(np.bincount(self._owner, minlength=self.n))))
         self._el_ptr = np.cumsum(np.bincount(self._cols + 1, minlength=self._ids.size + 1))
         self._el_pts = self._owner[np.argsort(self._cols, kind="stable")]
+        self._el_len, self._counts = np.diff(self._el_ptr), np.diff(self._ptr).astype(np.float64)
 
     @property
     def family(self) -> tuple[frozenset[int], ...]:
@@ -99,20 +101,15 @@ class CoverageUtility(UtilityOracle):
         return _CoverageGains(self, base)
 
 
-def _segments(ptr: np.ndarray, rows) -> np.ndarray:
-    """Positions of the CSR rows ``rows`` (row offsets ``ptr``), concatenated."""
-    rows = np.asarray(rows, dtype=np.intp)
-    starts, lens = ptr[rows], ptr[rows + 1] - ptr[rows]
-    return np.repeat(starts - np.cumsum(lens) + lens, lens) + np.arange(lens.sum())
-
-
 class _CoverageGains(_GainState):
     """Each point's count of uncovered elements, less one per element ``add`` covers."""
 
     def __init__(self, utility: CoverageUtility, base=()):
         self.utility, self.uncovered = utility, np.ones(utility._ids.size, dtype=bool)
-        self.uncovered[utility._cols[_segments(utility._ptr, tuple(base))]] = False
-        self.gain = np.bincount(utility._owner, self.uncovered[utility._cols], utility.n)
+        self.gain = utility._counts.copy()  # the gains at the empty set, less the covered columns
+        if base:  # the columns of base's points
+            self.uncovered[utility._cols[np.bincount(base, minlength=utility.n)[utility._owner] > 0]] = False
+            self.gain -= np.bincount(utility._owner, ~self.uncovered[utility._cols], utility.n)
 
     def _gains(self, cand):
         return self.gain[cand]
@@ -124,8 +121,12 @@ class _CoverageGains(_GainState):
         u = self.utility
         cols = u._cols[u._ptr[v]:u._ptr[v + 1]]
         new = cols[self.uncovered[cols]]
-        self.uncovered[new] = False
-        self.gain -= np.bincount(u._el_pts[_segments(u._el_ptr, new)], minlength=u.n)
+        if new.size:  # each point loses one per new element it holds: one index over their rows
+            self.uncovered[new] = False
+            lens = u._el_len[new]
+            ends = lens.cumsum()
+            rows = np.repeat(u._el_ptr[new] - ends + lens, lens) + np.arange(ends[-1])
+            self.gain -= np.bincount(u._el_pts[rows], minlength=u.n)
 
 
 class BudgetAdditiveUtility(UtilityOracle):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from divsel import (
+    BudgetAdditiveUtility,
     ConstantZeroUtility,
     CoverageUtility,
     InputError,
@@ -21,6 +22,7 @@ from divsel import (
     objective,
     random_baseline,
     simple_baseline,
+    utilities,
 )
 from support import METRIC_STYLES, integer_cases, make_utility, random_metric_instance
 
@@ -349,3 +351,25 @@ def test_only_the_exhaustive_schedule_sorts_the_pairs(monkeypatch):
     assert zeros().instance.d_max.hex() == "0x0.0p+0"
     with pytest.raises(AssertionError, match="pair sort requested"):
         gist(fresh("exhaustive"))
+
+
+def test_gist_builds_one_sweep_state_and_the_pairs(monkeypatch):
+    # every sweep path carries its own state, a branch a copy of its parent's: one gist
+    # call builds the root's state and, for its g, the diametrical pair's, and no other
+    rng = np.random.default_rng(17)
+    points, weights = rng.standard_normal((40, 2)), rng.uniform(0, 1, 40)
+    family = [rng.choice(30, size=int(rng.integers(1, 8)), replace=False).tolist() for _ in range(40)]
+    instance = Instance.from_euclidean(points)
+    built = []
+    for utility, state_class in ((CoverageUtility(family), utilities._CoverageGains),
+                                 (BudgetAdditiveUtility(weights, 0.95, 0.75, 8), utilities._BudgetGains)):
+        def counted_init(self, utility, base=(), init=state_class.__init__):
+            built.append(tuple(base))
+            init(self, utility, base)
+
+        # on the class itself, not a subclass, which _BOUNDED's exact type check would not skip
+        monkeypatch.setattr(state_class, "__init__", counted_init)
+        for schedule in ("geometric", "exhaustive"):
+            built.clear()
+            gist(Problem(instance, utility, lam=0.05, k=8, schedule=schedule))
+            assert built == [(), instance.diametrical_pair()], (utility.kind, schedule)

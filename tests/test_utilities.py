@@ -231,6 +231,73 @@ def test_coverage_csr_matches_per_set_unique():
             assert (a.dtype, a.tolist()) == (b.dtype, b.tolist()), family
 
 
+def _matches_rebuild(state, util, base):
+    """``state`` equals one built from ``base``: gains over the rest by ``float.hex``, and g."""
+    rebuilt = util._gain_state(base)
+    cand = np.array([v for v in range(util.n) if v not in base], dtype=np.intp)
+    assert list(map(float.hex, state.gains(cand).tolist())) == \
+        list(map(float.hex, rebuilt.gains(cand).tolist())), base
+    assert state.value().hex() == rebuilt.value().hex(), base
+
+
+@pytest.mark.parametrize("kind", ["coverage", "sparse", "budget", "tabulated", "margin"])
+def test_gain_state_copy_grows_apart_from_its_original(kind):
+    # a copy taken mid-run and the original grow along different points; each stays the
+    # state of its own selection, and the copy's growth leaves the original as it was
+    rng = np.random.default_rng(sum(map(ord, kind)) + 3)
+    for _ in range(40):
+        n = int(rng.integers(2, 12))
+        if kind == "coverage":
+            util = random_coverage_utility(rng, n)
+        elif kind == "sparse":
+            util = sparse_coverage_utility(rng, n)
+        elif kind == "budget":
+            util = random_budget_utility(rng, n, int(rng.integers(1, 6)))
+        elif kind == "tabulated":
+            weights = rng.uniform(0, 1, n)
+            util = TabulatedUtility.from_function(n, lambda s: math.sqrt(weights[list(s)].sum()))
+        else:
+            sim = rng.uniform(-1, 1, (n, n))
+            util = MarginSimilarityUtility(rng.uniform(0, 2, n), similarity=(sim + sim.T) / 2)
+        order = [int(v) for v in rng.permutation(n)]
+        cut = int(rng.integers(0, n - 1))
+        base, mine, theirs = order[:cut], order[cut::2], order[cut + 1::2]
+        state = util._gain_state()
+        for v in base:
+            state.add(v)
+        twin = state.copy()
+        for v in theirs:
+            twin.add(v)
+            _matches_rebuild(state, util, base)
+        for v in mine:
+            state.add(v)
+        _matches_rebuild(state, util, base + mine)
+        _matches_rebuild(twin, util, base + theirs)
+
+
+def test_coverage_add_on_degenerate_families():
+    families = [
+        [[1, 2], [2], [1, 2, 2]],  # after point 0, points 1 and 2 cover nothing new
+        [[], [3], [], [3, 4]],  # empty sets
+        [[7, 1], [7], [7, 2], [7]],  # one element held by every point
+        [[5, 5, 5], [5, 6, 6], [6, 5, 6]],  # repeated ids within a set
+        [[9]], [[]], [[4, 4]],  # n = 1
+    ]
+    for family in families:
+        util = CoverageUtility(family)
+        for order in itertools.permutations(range(util.n)):
+            state = util._gain_state()
+            for i, v in enumerate(order):
+                state.add(v)
+                base = sorted(order[:i + 1])
+                _matches_rebuild(state, util, base)
+                g = util.evaluate(base)
+                assert state.value() == g, (family, order)
+                rest = [w for w in range(util.n) if w not in base]
+                assert state.gains(np.array(rest, dtype=np.intp)).tolist() == \
+                    [util.evaluate(base + [w]) - g for w in rest], (family, order)
+
+
 def test_budget_additive_gains_are_bit_exact():
     # the closed form over the correctly rounded weight sum, bit for bit, through the
     # public entry and through a gain state grown in shuffled order
