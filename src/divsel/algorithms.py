@@ -27,7 +27,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import VALUE_RTOL, Instance, Problem, Solution, UtilityOracle, _run_args, _thresholds, integral
+from .core import (VALUE_RTOL, Instance, Problem, Solution, UtilityOracle, _FixedGains, _GainState,
+                   _run_args, _thresholds, integral)
 from .errors import InputError
 from .utilities import BudgetAdditiveUtility, ConstantZeroUtility, CoverageUtility, LinearUtility
 
@@ -42,7 +43,7 @@ _BOUNDED = (LinearUtility, ConstantZeroUtility, CoverageUtility, BudgetAdditiveU
 def _threshold_tree(
     instance: Instance, utility: UtilityOracle, thresholds: np.ndarray, k: int,
     lam: float, best: list[float],
-) -> Iterator[tuple[list[int], int, int, float, float]]:
+) -> Iterator[tuple[list[int], int, int, float, _GainState]]:
     """The greedy independent set at each of the ascending ``thresholds``: one
     depth-first sweep that shares the common prefixes of the runs.
 
@@ -51,11 +52,12 @@ def _threshold_tree(
     lowest index) is every threshold's pick up to dist(t, S); each higher one
     takes the best candidate it still has, in a branch, or its run ends at S.
     Each path carries its own gain state: the root builds one; a branch copies the
-    state at S and adds its pick when popped.  Yields ``(selection in order, lo, hi,
-    run_div, g)`` by ascending ``lo``, ``run_div`` being the selection's minimum
-    distance (+inf below two points) and ``g`` its utility, by its state (no query
-    counted).  Exact linear and constant-zero utilities (not subclasses), asked
-    once per point at the root, carry no state: each run's g is a new one's.
+    state at S and adds its pick when popped.  For an exact linear or constant-zero
+    utility (not a subclass) it is a :class:`_FixedGains`, which asks each point's
+    gain once, at the root, and its copies share them.  Yields ``(selection in order,
+    lo, hi, run_div, state)`` by ascending ``lo``, ``run_div`` being the selection's
+    minimum distance (+inf below two points) and ``state`` the run's gain state, at
+    the selection; its ``value()`` is the run's g, counted when read.
 
     For a kind of :data:`_BOUNDED`, a path at prefix S with candidates C only
     has runs of f <= g(S) + (the k - |S| largest gains at S over C) + ``lam`` *
@@ -65,12 +67,11 @@ def _threshold_tree(
     (k - |S|) * (largest gain) in place of the sum.
     """
     # pending paths: (S, lo, hi, dist(v, S) or +inf, candidates at thresholds[lo], run_div, g(S),
-    # its own gain state (None: fixed gains), None or a branch's (g, pick's gain, its gains) at its parent)
+    # its own gain state, None or a branch's (g, pick's gain, its gains) at its parent)
     n, rows, cut, d_max = instance.n, instance.distance_matrix(), thresholds.searchsorted, instance.d_max
-    root = utility._gain_state()  # fixed: exact linear or zero gains do not depend on S, asked once
-    fixed = root.gains(np.arange(n)) if type(utility) in (LinearUtility, ConstantZeroUtility) else None
-    paths = [([], 0, len(thresholds) - 1, np.full(n, np.inf), np.arange(n), math.inf, 0.0,
-              root if fixed is None else None, None)]
+    fixed = type(utility) in (LinearUtility, ConstantZeroUtility)  # gains that do not depend on S
+    root = _FixedGains(utility) if fixed else utility._gain_state()
+    paths = [([], 0, len(thresholds) - 1, np.full(n, np.inf), np.arange(n), math.inf, 0.0, root, None)]
     bounded = type(utility) in _BOUNDED
     while paths:
         sel, lo, hi, min_dist, cand, run_div, g, state, parent = paths.pop()
@@ -84,11 +85,11 @@ def _threshold_tree(
                 bound = g0 + math.fsum(top_r.tolist()) + tail
             if bound + VALUE_RTOL * abs(bound) < limit:
                 continue
-        if parent is not None and min_dist is not None and state is not None:  # a branch with a pick:
+        if parent is not None and min_dist is not None:  # a branch with a pick:
             state.add(sel[-1])  # it joins the branch's copy of its parent's state once the bound keeps it
         floor = thresholds[lo]
         while len(sel) < k and cand.size:
-            gains = fixed[cand] if state is None else state.gains(cand)
+            gains = state.gains(cand)
             i = gains.argmax()
             t, gain = int(cand[i]), gains.item(i)
             if limit is not None:
@@ -102,7 +103,7 @@ def _threshold_tree(
                 sub = (min_dist[cand] >= thresholds[first]).nonzero()[0]
                 if not sub.size:  # their runs end at S
                     paths.insert(at, (sel.copy(), first, hi, None, sub, run_div, g,
-                                      state and state.copy(), (g, 0.0, gains[sub])))
+                                      state.copy(), (g, 0.0, gains[sub])))
                     break
                 rest = cand[sub]  # thresholds[first] > dist(t, S) >= 0: u's zero entry drops it
                 pg = gains[sub]
@@ -112,16 +113,15 @@ def _threshold_tree(
                 last = min(hi, int(cut(min_dist[u], "right")) - 1)
                 paths.insert(at, (sel + [u], first, last, np.minimum(min_dist, row),
                                   rest[row[rest] >= thresholds[first]], min(run_div, float(min_dist[u])),
-                                  g + gu, state and state.copy(), (g, gu, pg)))
+                                  g + gu, state.copy(), (g, gu, pg)))
             row = rows[t]  # a floor above 0 drops t itself through its zero diagonal entry
             cand = cand[row[cand] >= floor] if floor > 0 else cand[cand != t]
             hi, run_div, g = top, min(run_div, float(min_dist[t])), g + gain
             np.minimum(min_dist, row, out=min_dist)
             sel.append(t)
-            if state is not None:
-                state.add(t)
+            state.add(t)
         else:
-            yield sel, lo, hi, run_div, (state or utility._gain_state(sel)).value()
+            yield sel, lo, hi, run_div, state
 
 
 def greedy_independent_set(
@@ -152,8 +152,8 @@ def _sweep_candidates(problem: Problem, schedule: np.ndarray) -> Iterator[_Candi
     inst, util, lam = problem.instance, problem.utility, problem.lam
     thresholds = np.concatenate(([0.0], schedule))
     best = [-math.inf]
-    for sel, lo, hi, run_div, g in _threshold_tree(inst, util, thresholds, problem.k, lam, best):
-        util._queries.add(1)  # one query per g; the solver built sel and pair: no index check
+    for sel, lo, hi, run_div, state in _threshold_tree(inst, util, thresholds, problem.k, lam, best):
+        g = state.value()  # the solver built sel and pair: no index check
         d = min(inst.d_max, run_div)
         value = (g + lam * d, g, d)
         best[0] = max(best[0], value[0])
@@ -161,8 +161,7 @@ def _sweep_candidates(problem: Problem, schedule: np.ndarray) -> Iterator[_Candi
             yield sel, 0.0, value
             if problem.k >= 2 and inst.n >= 2:
                 pair, d = inst.diametrical_pair(), inst.d_max  # the pair's distance is d_max
-                util._queries.add(1)
-                g = util._value(pair)
+                g = util._gain_state(pair).value()
                 best[0] = max(best[0], g + lam * d)
                 yield pair, None, (g + lam * d, g, d)
         if hi > 0:
@@ -237,14 +236,13 @@ def classic_greedy(problem: Problem) -> Solution:
     inst, util, lam = problem.instance, problem.utility, problem.lam
     start = util.query_count
     n, rows = inst.n, inst.distance_matrix()
-    util._queries.add(1)
-    g_cur = util._value(())
+    state = util._gain_state()
+    g_cur = state.value()
     div_cur = inst.d_max
     min_dist = np.full(n, np.inf)
     in_set = np.zeros(n, dtype=bool)
     order: list[int] = []
     values = []
-    state = util._gain_state()
     for step in range(min(problem.k, n)):
         cand = np.flatnonzero(~in_set)
         g_gains = state.gains(cand)
@@ -285,7 +283,6 @@ def random_baseline(problem: Problem, seed: int = 0) -> Solution:
         div_cur = min(div_cur, float(min_dist[v]))
         np.minimum(min_dist, rows[v], out=min_dist)
         state.add(v)
-        util._queries.add(1)
         g = state.value()
         values.append((g + lam * div_cur, g, div_cur))
     return _best_candidate(problem, "random", start, _prefixes(order, values), seed)

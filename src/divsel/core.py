@@ -320,26 +320,25 @@ class UtilityOracle:
     Accounting convention: every call to :meth:`evaluate` and every marginal
     gain (single or batched, one per candidate) counts as one value-oracle
     query, matching the usual oracle-complexity model in which ``g(S)`` is
-    already known when a marginal ``g(S + v) - g(S)`` is requested.  Solvers
-    ask an exact :class:`LinearUtility` or :class:`ConstantZeroUtility` (not a
-    subclass) for each point's gain once per sweep, since it never changes.
-    ``gist`` asks nothing for the runs its sweep skips as unable to win.
+    already known when a marginal ``g(S + v) - g(S)`` is requested.  Only a
+    :class:`_GainState` counts.  Solvers ask an exact :class:`LinearUtility` or
+    :class:`ConstantZeroUtility` (not a subclass) for each point's gain once
+    per sweep (:class:`_FixedGains`), since it never changes.  ``gist`` asks
+    nothing for the runs its sweep skips as unable to win.
 
-    A kind supplies ``g`` through three hooks, each given a sorted index tuple
-    ``s`` and counting no queries:
+    A kind plugs in one of two ways, through hooks that count no queries:
 
-    * ``_value(s)``, required: g(S), which may be its gain state's ``value()``.
-    * ``_batch_marginal(cand, s)``, optional, for gains that need no running
-      state: each candidate's g(S + v) - g(S).  The default takes value
-      differences, computing g(S) once per call.  A gain must not depend on
-      the rest of the batch, bit for bit: the sweep scores a superset of some
-      runs' candidates.
-    * ``_gain_state(base)``, optional, where state kept across a growing selection
-      pays (coverage, budget-additive): a :class:`_GainState`; its ``copy()`` shares no mutable array.
+    * the default state: ``_value(s)``, g of a sorted index tuple ``s``, and
+      optionally ``_batch_marginal(cand, s)``, each candidate's g(S + v) - g(S);
+      the default takes value differences, computing g(S) once per call.  A
+      gain must not depend on the rest of the batch, bit for bit: the sweep
+      scores a superset of some runs' candidates.
+    * its own ``_gain_state(base)``, where state kept across a growing selection
+      pays (coverage, budget-additive): a :class:`_GainState` with ``_gains``, ``add`` and ``_g``.
 
-    The public ``marginal`` is ``batch_marginal`` of one candidate, and both
-    reach the hooks through ``_gain_state``, as the solvers do.  Parameters
-    are immutable; the query counter is the only mutable state.
+    ``evaluate``, ``marginal`` (``batch_marginal`` of one candidate) and
+    ``batch_marginal`` build a state at their base set, as the solvers do.
+    Parameters are immutable; the query counter is the only mutable state.
     """
 
     kind: str = "abstract"
@@ -358,9 +357,7 @@ class UtilityOracle:
 
     def evaluate(self, subset: Iterable[int]) -> float:
         """g(S).  Counts one query."""
-        s = canonical_subset(subset, self.n)
-        self._queries.add(1)
-        return self._value(s)
+        return self._gain_state(canonical_subset(subset, self.n)).value()
 
     def marginal(self, v: int, subset: Iterable[int]) -> float:
         """g(S + v) - g(S) for v not in S.  Counts one query."""
@@ -395,10 +392,11 @@ class UtilityOracle:
 
 class _GainState:
     """Gains against a growing selection, unchecked: callers pass in-range candidates
-    disjoint from it.  ``gains`` counts one query per candidate, ``value`` (g of the
-    selection) none; ``add`` grows it; ``copy`` shares no mutable array with it (this one
-    copies each numpy array attribute).  This default asks ``_batch_marginal`` and ``_value``
-    on the sorted ``s``; a kind with its own state overrides ``_gains``, ``add`` and ``value``."""
+    disjoint from it.  The one counter of queries: ``gains`` counts one per candidate and
+    ``value`` (g of the selection) one, over the uncounted ``_gains`` and ``_g``; ``add``
+    grows it; ``copy`` shares only read-only arrays with it (this one copies each writable
+    numpy array attribute).  This default asks ``_batch_marginal`` and ``_value`` on the
+    sorted ``s``; a kind with its own state overrides ``_gains``, ``add`` and ``_g``."""
 
     def __init__(self, utility: UtilityOracle, base: Iterable[int] = ()):
         self.utility, self.s = utility, tuple(sorted(base))
@@ -411,6 +409,10 @@ class _GainState:
         return self.utility._batch_marginal(cand, self.s)
 
     def value(self) -> float:
+        self.utility._queries.add(1)
+        return self._g()
+
+    def _g(self) -> float:
         return self.utility._value(self.s)
 
     def add(self, v: int) -> None:
@@ -419,8 +421,23 @@ class _GainState:
 
     def copy(self) -> "_GainState":  # not copy.copy, twice as slow: the sweep copies per branch
         new = object.__new__(type(self))
-        new.__dict__ = {a: v.copy() if isinstance(v, np.ndarray) else v for a, v in vars(self).items()}
+        new.__dict__ = {a: v.copy() if isinstance(v, np.ndarray) and v.flags.writeable else v
+                        for a, v in vars(self).items()}
         return new
+
+
+class _FixedGains(_GainState):
+    """The sweep's state for a kind whose gains never change with the selection (an exact
+    linear or zero utility): it asks and counts every point's gain once, when built at the
+    empty set, and serves them uncounted from one read-only array that its copies share."""
+
+    def __init__(self, utility: UtilityOracle):
+        super().__init__(utility)
+        self.fixed = super().gains(np.arange(utility.n))
+        self.fixed.setflags(write=False)
+
+    def gains(self, cand: np.ndarray) -> np.ndarray:
+        return self.fixed[cand]
 
 
 @dataclass(frozen=True)

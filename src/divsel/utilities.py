@@ -94,27 +94,27 @@ class CoverageUtility(UtilityOracle):
     def family(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(c.tolist()) for c in np.split(self._ids[self._cols], self._ptr[1:-1]))
 
-    def _value(self, s):
-        return _CoverageGains(self, s).value()
-
     def _gain_state(self, base=()):
         return _CoverageGains(self, base)
 
 
 class _CoverageGains(_GainState):
-    """Each point's count of uncovered elements, less one per element ``add`` covers."""
+    """Each point's count of uncovered elements, ``gain``, built when ``_gains`` first needs
+    it (None until then, so a state only asked ``value`` marks ``uncovered`` alone), then
+    less one per element ``add`` covers.  The counts are integers, exact either way."""
 
     def __init__(self, utility: CoverageUtility, base=()):
-        self.utility, self.uncovered = utility, np.ones(utility._ids.size, dtype=bool)
-        self.gain = utility._counts.copy()  # the gains at the empty set, less the covered columns
+        self.utility, self.uncovered, self.gain = utility, np.ones(utility._ids.size, dtype=bool), None
         if base:  # the columns of base's points
             self.uncovered[utility._cols[np.bincount(base, minlength=utility.n)[utility._owner] > 0]] = False
-            self.gain -= np.bincount(utility._owner, ~self.uncovered[utility._cols], utility.n)
 
     def _gains(self, cand):
+        if self.gain is None:  # a copy of the counts at the empty set while nothing is covered
+            u, unc = self.utility, self.uncovered
+            self.gain = u._counts.copy() if unc.all() else np.bincount(u._owner, unc[u._cols], u.n)
         return self.gain[cand]
 
-    def value(self):
+    def _g(self):
         return float(np.count_nonzero(~self.uncovered))
 
     def add(self, v):
@@ -123,10 +123,11 @@ class _CoverageGains(_GainState):
         new = cols[self.uncovered[cols]]
         if new.size:  # each point loses one per new element it holds: one index over their rows
             self.uncovered[new] = False
-            lens = u._el_len[new]
-            ends = lens.cumsum()
-            rows = np.repeat(u._el_ptr[new] - ends + lens, lens) + np.arange(ends[-1])
-            self.gain -= np.bincount(u._el_pts[rows], minlength=u.n)
+            if self.gain is not None:
+                lens = u._el_len[new]
+                ends = lens.cumsum()
+                rows = np.repeat(u._el_ptr[new] - ends + lens, lens) + np.arange(ends[-1])
+                self.gain -= np.bincount(u._el_pts[rows], minlength=u.n)
 
 
 class BudgetAdditiveUtility(UtilityOracle):
@@ -155,11 +156,9 @@ class BudgetAdditiveUtility(UtilityOracle):
         self.k = k
         self._den = 2 ** min(53 - int(np.frexp(w)[1].min()), 1074)  # 2**1074 suits any float
 
-    def _units(self, ws) -> int:  # sum(ws) * _den exactly: each w is n / d, d divides _den
-        return sum(n * (self._den // d) for n, d in map(float.as_integer_ratio, ws))
-
-    def _value(self, s):
-        return _BudgetGains(self, s).value()
+    def _unit(self, w: float) -> int:  # w * _den exactly: w is n / d, d divides _den
+        n, d = w.as_integer_ratio()
+        return n * (self._den // d)
 
     def _gain_state(self, base=()):
         return _BudgetGains(self, base)
@@ -169,12 +168,12 @@ class _BudgetGains(_GainState):
     """alpha * min((total + w_v) / k, beta) - g(S) in place; total = units / _den, rounded once."""
 
     def __init__(self, utility: BudgetAdditiveUtility, base=()):
-        self.utility, self.units = utility, utility._units(utility.weights[list(base)].tolist())
+        self.utility, self.units = utility, sum(map(utility._unit, utility.weights[list(base)].tolist()))
 
     def add(self, v):
-        self.units += self.utility._units((self.utility.weights[v],))
+        self.units += self.utility._unit(self.utility.weights.item(v))
 
-    def value(self):
+    def _g(self):
         u = self.utility  # int / int true division rounds correctly
         return u.alpha * min(self.units / u._den / u.k, u.beta)
 
@@ -184,7 +183,7 @@ class _BudgetGains(_GainState):
         gains /= u.k
         np.minimum(gains, u.beta, out=gains)
         gains *= u.alpha
-        return np.subtract(gains, self.value(), out=gains)
+        return np.subtract(gains, self._g(), out=gains)
 
 
 class MarginSimilarityUtility(UtilityOracle):

@@ -12,10 +12,13 @@ import numpy as np
 
 from divsel import (
     BudgetAdditiveUtility,
+    ConstantZeroUtility,
     CoverageUtility,
     Instance,
     LinearUtility,
+    MarginSimilarityUtility,
     Problem,
+    TabulatedUtility,
 )
 
 METRIC_STYLES = ("euclidean", "box", "shortest-path")
@@ -104,6 +107,22 @@ def make_utility(kind: str, rng: np.random.Generator, n: int, k: int):
     if kind.startswith("linear"):
         return random_linear_utility(rng, n)
     raise ValueError(f"unknown utility kind {kind}")
+
+
+def every_kind(rng: np.random.Generator, n: int, k: int) -> dict:
+    """One utility of each kind over ``n`` points, margin-similarity both dense and by edges."""
+    weights, sim = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, n))
+    edges = [(i, j, float(sim[i, j])) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+    return {
+        "linear": random_linear_utility(rng, n),
+        "zero": ConstantZeroUtility(n),
+        "coverage": random_coverage_utility(rng, n),
+        "sparse-coverage": sparse_coverage_utility(rng, n),
+        "budget": random_budget_utility(rng, n, k),
+        "margin-dense": MarginSimilarityUtility(rng.uniform(0, 2, n), similarity=(sim + sim.T) / 2),
+        "margin-edges": MarginSimilarityUtility(rng.uniform(0, 2, n), edges=edges),
+        "tabulated": TabulatedUtility.from_function(n, lambda s: math.sqrt(weights[list(s)].sum())),
+    }
 
 
 def guarantee_suite(utility_kinds=("coverage", "budget"), lam_values=(0.1, 1.0, 10.0)):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from divsel import (
     simple_baseline,
     utilities,
 )
-from support import METRIC_STYLES, integer_cases, make_utility, random_metric_instance
+from divsel.core import SCHEDULES, QueryCounter, _GainState
+from support import METRIC_STYLES, every_kind, integer_cases, make_utility, random_metric_instance
 
 ALGORITHM_RUNS = [
     ("gist", lambda p: gist(p)),
@@ -373,3 +375,44 @@ def test_gist_builds_one_sweep_state_and_the_pairs(monkeypatch):
             built.clear()
             gist(Problem(instance, utility, lam=0.05, k=8, schedule=schedule))
             assert built == [(), instance.diametrical_pair()], (utility.kind, schedule)
+
+
+def test_greedy_independent_set_reads_no_g(monkeypatch):
+    # it returns the selection alone, so it asks no kind's state for g
+    read = []
+    monkeypatch.setattr(_GainState, "value", lambda self: read.append(type(self)))
+    rng = np.random.default_rng(29)
+    for n in (1, 6):
+        instance = random_metric_instance(rng, n, "euclidean")
+        for kind, utility in every_kind(rng, n, 3).items():
+            for d in (0.0, instance.d_max / 3):
+                greedy_independent_set(instance, utility, d, 3)
+                assert read == [], kind
+
+
+def test_only_gain_states_count_queries(monkeypatch):
+    # every query is counted by a gain state's gains or value: never by a solver or a public entry
+    callers = []
+    add = QueryCounter.add
+
+    def traced(self, amount=1):
+        frame = sys._getframe(1)
+        callers.append((type(frame.f_locals.get("self")), frame.f_code.co_name))
+        add(self, amount)
+
+    monkeypatch.setattr(QueryCounter, "add", traced)
+    rng = np.random.default_rng(31)
+    for n, k in ((1, 1), (2, 2), (7, 3)):
+        instance = random_metric_instance(rng, n, "euclidean")
+        for kind, utility in every_kind(rng, n, k).items():
+            for schedule in SCHEDULES:
+                problem = Problem(instance, utility, lam=0.3, k=k, epsilon=0.2, schedule=schedule)
+                for _, run in ALGORITHM_RUNS:
+                    run(problem)
+            greedy_independent_set(instance, utility, instance.d_max / 3, k)
+            utility.evaluate([n - 1])
+            utility.marginal(0, range(1, n))
+            utility.batch_marginal(range(n - 1), [n - 1])
+    assert callers
+    assert {(c, name) for c, name in callers
+            if not (issubclass(c, _GainState) and name in ("gains", "value"))} == set()

@@ -18,7 +18,9 @@ from divsel import (
     gen_nonsubmodular_example,
     objective,
 )
+from divsel.core import _FixedGains
 from support import (
+    every_kind,
     integer_cases,
     random_budget_utility,
     random_coverage_utility,
@@ -240,7 +242,7 @@ def _matches_rebuild(state, util, base):
     assert state.value().hex() == rebuilt.value().hex(), base
 
 
-@pytest.mark.parametrize("kind", ["coverage", "sparse", "budget", "tabulated", "margin"])
+@pytest.mark.parametrize("kind", ["coverage", "sparse", "budget", "tabulated", "margin", "fixed"])
 def test_gain_state_copy_grows_apart_from_its_original(kind):
     # a copy taken mid-run and the original grow along different points; each stays the
     # state of its own selection, and the copy's growth leaves the original as it was
@@ -256,16 +258,20 @@ def test_gain_state_copy_grows_apart_from_its_original(kind):
         elif kind == "tabulated":
             weights = rng.uniform(0, 1, n)
             util = TabulatedUtility.from_function(n, lambda s: math.sqrt(weights[list(s)].sum()))
+        elif kind == "fixed":
+            util = random_linear_utility(rng, n)
         else:
             sim = rng.uniform(-1, 1, (n, n))
             util = MarginSimilarityUtility(rng.uniform(0, 2, n), similarity=(sim + sim.T) / 2)
         order = [int(v) for v in rng.permutation(n)]
         cut = int(rng.integers(0, n - 1))
         base, mine, theirs = order[:cut], order[cut::2], order[cut + 1::2]
-        state = util._gain_state()
+        state = _FixedGains(util) if kind == "fixed" else util._gain_state()
         for v in base:
             state.add(v)
         twin = state.copy()
+        if kind == "fixed":  # the one read-only gain array is shared, never copied
+            assert twin.fixed is state.fixed and not state.fixed.flags.writeable
         for v in theirs:
             twin.add(v)
             _matches_rebuild(state, util, base)
@@ -273,6 +279,51 @@ def test_gain_state_copy_grows_apart_from_its_original(kind):
             state.add(v)
         _matches_rebuild(state, util, base + mine)
         _matches_rebuild(twin, util, base + theirs)
+
+
+def test_every_gain_state_counts_one_query_per_value_and_per_candidate():
+    # value() counts one query and gains(cand) cand.size, on each kind's state; a _FixedGains
+    # counts every point's gain once, when built, and no gain afterwards
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 7):
+        for kind, util in every_kind(rng, n, 3).items():
+            for fixed in (False, True) if kind in ("linear", "zero") else (False,):
+                before = util.query_count
+                state = _FixedGains(util) if fixed else util._gain_state()
+                assert util.query_count - before == (n if fixed else 0), kind
+                order = [int(v) for v in rng.permutation(n)]
+                for i, v in enumerate(order):
+                    rest = np.array(order[i:], dtype=np.intp)
+                    before = util.query_count
+                    state.gains(rest)
+                    assert util.query_count - before == (0 if fixed else rest.size), (kind, fixed)
+                    state.value()
+                    assert util.query_count - before == (1 if fixed else rest.size + 1), (kind, fixed)
+                    state.add(v)
+
+
+@pytest.mark.parametrize("make", [random_coverage_utility, sparse_coverage_utility])
+def test_coverage_gains_built_late_match_gains_kept_from_the_start(make):
+    # a state asked no gains marks ``uncovered`` only; the gains it builds when first asked
+    # equal, bit for bit, those of a state that has kept them since the empty set
+    rng = np.random.default_rng(19)
+    for _ in range(60):
+        n = int(rng.integers(1, 12))
+        util = make(rng, n)
+        order = [int(v) for v in rng.permutation(n)]
+        early = util._gain_state()
+        early.gains(np.arange(n))
+        for i, v in enumerate(order):
+            early.add(v)
+            late, from_base = util._gain_state(), util._gain_state(order[:i + 1])
+            for w in order[:i + 1]:
+                late.add(w)
+            assert late.value() == from_base.value() == early.value(), order
+            assert late.gain is None and from_base.gain is None, order
+            rest = np.array(order[i + 1:], dtype=np.intp)
+            expected = list(map(float.hex, early.gains(rest).tolist()))
+            for state in (late, from_base):
+                assert list(map(float.hex, state.gains(rest).tolist())) == expected, order
 
 
 def test_coverage_add_on_degenerate_families():
