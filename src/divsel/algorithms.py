@@ -12,11 +12,13 @@
 * :func:`random_baseline` -- best prefix of a uniformly random ordered
   k-sample.
 
-All tie-breaking is by lowest index.  Every solver returns the best of its
-candidates through one loop, where a later candidate replaces an equal one;
-prefixes are offered longest first, so among equal-valued prefixes the
-earliest wins.  Given identical inputs (and seed where applicable), every
-algorithm is deterministic.
+The last two share one chain (:class:`_Chain`) and differ only in their pick
+rule.  All tie-breaking is by lowest index.  Every solver returns the best of
+its candidates through one loop, where a later candidate replaces an equal
+one; prefixes are offered longest first, so among equal-valued prefixes the
+earliest wins.  Each candidate's g is g of its selection, read from the gain
+state that grew it.  Given identical inputs (and seed where applicable),
+every algorithm is deterministic.
 """
 
 from __future__ import annotations
@@ -168,14 +170,12 @@ def _sweep_candidates(problem: Problem, schedule: np.ndarray) -> Iterator[_Candi
             yield sel, float(thresholds[hi]), value
 
 
-def _best_candidate(
-    problem: Problem, algorithm: str, start: int, candidates: Iterable[_Candidate],
-    seed: int | None = None,
-) -> Solution:
-    """The best candidate; a later candidate replaces an equal one.  ``start`` is the
-    query count when the run began, so the queries of the greedy runs that lazily
-    produce ``candidates`` count toward ``oracle_calls``; only the winner's selection is read."""
-    best = None
+def _best_candidate(problem: Problem, algorithm: str, candidates: Iterable[_Candidate],
+                    seed: int | None = None) -> Solution:
+    """The best candidate; a later candidate replaces an equal one.  The solvers produce
+    ``candidates`` lazily, so the queries made while drawing them count toward
+    ``oracle_calls``; only the winner's selection is read."""
+    start, best = problem.utility.query_count, None
     for sel, threshold, value in candidates:
         if best is None or value[0] >= best[0][0]:
             best = value, threshold, sel
@@ -192,11 +192,30 @@ def _best_candidate(
     )
 
 
-def _prefixes(order: list[int], values: list) -> Iterator[_Candidate]:
-    """Each prefix of ``order`` (a lazy ``islice``) with its ``values`` entry, longest
-    first, so that later-wins keeps the earliest of equal prefixes."""
-    lengths = range(len(order), 0, -1)
-    return zip(map(islice, repeat(order), lengths), repeat(None), reversed(values))
+class _Chain:
+    """One selection, grown from the empty set by :meth:`grow`: ``min_dist`` is each
+    point's distance to it (+inf while it is empty), ``div`` its div and ``state``
+    its gain state."""
+
+    def __init__(self, problem: Problem):
+        inst, self.problem = problem.instance, problem
+        self.min_dist, self.div = np.full(inst.n, np.inf), inst.d_max
+        self.state = problem.utility._gain_state()
+
+    def grow(self, picks: Iterable[int]) -> Iterator[_Candidate]:
+        """Adds each of ``picks`` in turn (a generator of picks may read the chain between
+        two) and records the prefix's (f, g, div), g read from the state; then offers the
+        prefixes longest first, as lazy ``islice``s, so later-wins keeps the earliest of equals."""
+        rows, lam = self.problem.instance.distance_matrix(), self.problem.lam
+        min_dist, state, order, values = self.min_dist, self.state, [], []
+        for t in picks:
+            self.div = div = min(self.div, float(min_dist[t]))
+            np.minimum(min_dist, rows[t], out=min_dist)
+            state.add(t)
+            g = state.value()
+            order.append(t)
+            values.append((g + lam * div, g, div))
+        yield from zip(map(islice, repeat(order), range(len(order), 0, -1)), repeat(None), reversed(values))
 
 
 def gist(problem: Problem) -> Solution:
@@ -213,15 +232,13 @@ def gist(problem: Problem) -> Solution:
     diametrical pair, and otherwise the winning run's largest.
     """
     label = "gist" if problem.schedule == "geometric" else "gist-exhaustive"
-    start = problem.utility.query_count
-    return _best_candidate(problem, label, start, _sweep_candidates(problem, _thresholds(problem)))
+    return _best_candidate(problem, label, _sweep_candidates(problem, _thresholds(problem)))
 
 
 def simple_baseline(problem: Problem) -> Solution:
     """Best of the two extreme candidates: utility-only greedy and a
     diametrical pair (skipped when k < 2)."""
-    start = problem.utility.query_count
-    return _best_candidate(problem, "simple", start, _sweep_candidates(problem, np.empty(0)))
+    return _best_candidate(problem, "simple", _sweep_candidates(problem, np.empty(0)))
 
 
 def classic_greedy(problem: Problem) -> Solution:
@@ -233,33 +250,19 @@ def classic_greedy(problem: Problem) -> Solution:
     available gain is negative.  Returns the best prefix of the built chain
     (earliest prefix on ties).
     """
-    inst, util, lam = problem.instance, problem.utility, problem.lam
-    start = util.query_count
-    n, rows = inst.n, inst.distance_matrix()
-    state = util._gain_state()
-    g_cur = state.value()
-    div_cur = inst.d_max
-    min_dist = np.full(n, np.inf)
-    in_set = np.zeros(n, dtype=bool)
-    order: list[int] = []
-    values = []
-    for step in range(min(problem.k, n)):
-        cand = np.flatnonzero(~in_set)
-        g_gains = state.gains(cand)
-        new_div = np.minimum(div_cur, min_dist[cand])
-        gains = g_gains + lam * (new_div - div_cur)
-        pos = int(np.argmax(gains))
-        if step > 0 and gains[pos] < 0:
-            break
-        t = int(cand[pos])
-        order.append(t)
-        state.add(t)
-        in_set[t] = True
-        g_cur = g_cur + float(g_gains[pos])
-        div_cur = float(min(div_cur, min_dist[t]))
-        np.minimum(min_dist, rows[t], out=min_dist)
-        values.append((g_cur + lam * div_cur, g_cur, div_cur))
-    return _best_candidate(problem, "greedy", start, _prefixes(order, values))
+    chain, lam = _Chain(problem), problem.lam
+
+    def picks() -> Iterator[int]:  # the chain adds each pick before it asks for the next
+        cand = np.arange(problem.instance.n)
+        for step in range(problem.k):
+            gains = chain.state.gains(cand) + lam * (np.minimum(chain.div, chain.min_dist[cand]) - chain.div)
+            pos = int(np.argmax(gains))
+            if step > 0 and gains[pos] < 0:
+                return
+            t = int(cand[pos])
+            yield t
+            cand = cand[cand != t]
+    return _best_candidate(problem, "greedy", chain.grow(picks()))
 
 
 def random_baseline(problem: Problem, seed: int = 0) -> Solution:
@@ -269,20 +272,8 @@ def random_baseline(problem: Problem, seed: int = 0) -> Solution:
     from one growing gain state, and returns the best (earliest on ties).
     ``seed`` is an integer >= 0 by the one integer rule, else InputError.
     """
-    inst, util, lam = problem.instance, problem.utility, problem.lam
     seed = integral(seed, "seed")
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
-    start = util.query_count
-    rng = np.random.default_rng(seed)
-    order = [int(v) for v in rng.permutation(inst.n)[: problem.k]]
-    div_cur, rows = inst.d_max, inst.distance_matrix()
-    min_dist = np.full(inst.n, np.inf)  # dist(v, prefix); +inf while it is empty
-    state, values = util._gain_state(), []
-    for v in order:
-        div_cur = min(div_cur, float(min_dist[v]))
-        np.minimum(min_dist, rows[v], out=min_dist)
-        state.add(v)
-        g = state.value()
-        values.append((g + lam * div_cur, g, div_cur))
-    return _best_candidate(problem, "random", start, _prefixes(order, values), seed)
+    order = np.random.default_rng(seed).permutation(problem.instance.n)[: problem.k].tolist()
+    return _best_candidate(problem, "random", _Chain(problem).grow(order), seed)

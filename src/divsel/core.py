@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -90,8 +91,8 @@ def _run_args(instance: Instance, utility: UtilityOracle, d: float, k) -> int:
     nonnegative number and ``k`` meets :func:`_budget`; returns ``k`` as an int."""
     if utility.n != instance.n:
         raise InputError(f"utility and instance sizes differ: {utility.n} and {instance.n} points")
-    if not d >= 0:
-        raise InputError(f"distance threshold must be a nonnegative number, got {d}")
+    if not (isinstance(d, numbers.Real) and d >= 0):
+        raise InputError(f"distance threshold must be a nonnegative number, got {d!r}")
     return _budget(k)
 
 
@@ -449,7 +450,8 @@ class Problem:
     chooses between the geometric grid and the exhaustive grid of all
     half-distances.  The instance and utility pass the gate of the solvers
     called without a Problem, and ``k`` the one budget rule (``3.0`` is
-    stored as the int 3; booleans are refused) and ``k <= n``.
+    stored as the int 3; booleans are refused) and ``k <= n``; ``lam`` is a
+    finite number >= 0 and ``epsilon`` a number in (0, 1), else InputError.
     """
 
     instance: Instance
@@ -463,10 +465,10 @@ class Problem:
         object.__setattr__(self, "k", _run_args(self.instance, self.utility, 0.0, self.k))
         if self.k > self.instance.n:
             raise InputError(f"cardinality budget {self.k} exceeds ground set size {self.instance.n}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise InputError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not 0.0 <= self.lam < math.inf:
-            raise InputError(f"lam must be finite and nonnegative, got {self.lam}")
+        if not (isinstance(self.epsilon, numbers.Real) and 0.0 < self.epsilon < 1.0):
+            raise InputError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
+        if not (isinstance(self.lam, numbers.Real) and 0.0 <= self.lam < math.inf):
+            raise InputError(f"lam must be finite and nonnegative, got {self.lam!r}")
         if self.schedule not in SCHEDULES:
             raise InputError(f"unknown schedule {self.schedule!r}; expected one of {SCHEDULES}")
 
@@ -480,8 +482,10 @@ class Solution:
 
     ``winning_threshold`` is the distance threshold whose candidate won
     (0.0 for the plain greedy pass, ``None`` when a diametrical pair or an
-    algorithm without thresholds produced the set).  ``oracle_calls`` counts
-    the utility value queries issued during the run.
+    algorithm without thresholds produced the set).  ``g_value`` is g of
+    ``selected``, ``div_value`` its div and ``f_value = g_value + lam *
+    div_value``.  ``oracle_calls`` counts the utility value queries issued
+    during the run.
     """
 
     selected: tuple[int, ...]

@@ -263,15 +263,14 @@ def random_baseline(problem: Problem, seed: int) -> tuple:
 def classic_greedy(problem: Problem) -> tuple:
     """Greedy on the f-gain (utility marginal plus the weighted drop in
     diversity), ties to the lowest index.  The first point is always taken;
-    later the chain stops at a negative best gain.  Returns the best prefix,
-    the earliest on ties."""
+    later the chain stops at a negative best gain.  Every prefix is evaluated.
+    Returns the best prefix, the earliest on ties."""
     inst, util, lam = problem.instance, problem.utility, problem.lam
-    g_cur = util.evaluate([])
     div_cur = inst.d_max
     order: list[int] = []
     prefixes = []
     while len(order) < problem.k:
-        step = None  # (f-gain, point, utility gain, new div)
+        step = None  # (f-gain, point, new div)
         for v in range(inst.n):
             if v in order:
                 continue
@@ -279,14 +278,14 @@ def classic_greedy(problem: Problem) -> tuple:
             new_div = min([div_cur] + [inst.dist(v, s) for s in order])
             gain = g_gain + lam * (new_div - div_cur)
             if step is None or gain > step[0]:
-                step = (gain, v, g_gain, new_div)
-        gain, v, g_gain, new_div = step
+                step = (gain, v, new_div)
+        gain, v, new_div = step
         if order and gain < 0:
             break
         order.append(v)
-        g_cur += g_gain
+        g = util.evaluate(order)
         div_cur = new_div
-        prefixes.append((tuple(sorted(order)), g_cur + lam * div_cur, g_cur, div_cur, None))
+        prefixes.append((tuple(sorted(order)), g + lam * div_cur, g, div_cur, None))
     # max returns the first maximal prefix, i.e. the earliest
     return max(prefixes, key=lambda p: p[1])
 

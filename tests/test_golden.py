@@ -37,7 +37,7 @@ from divsel import (
     simple_baseline,
 )
 
-GOLDEN = "9317879576bcb29cb9b270d794000f105ead74d66266e2a8082fc960871e7aa9"
+GOLDEN = "fef997440de17a21eceab0af769d21f0067a770c36aab1c26a71482fd0292f11"
 GOLDEN_EXACT = "2960e0532f5639bf99a2849e1c0db8538569c7d603b6be3ac665d1d8647560d1"
 
 

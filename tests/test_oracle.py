@@ -19,6 +19,7 @@ from divsel import (
     gen_greedy_hard,
     gen_nonsubmodular_example,
     gist,
+    greedy_independent_set,
     objective,
     ratio_report,
 )
@@ -120,14 +121,17 @@ def test_constrained_rejects_what_the_greedy_rejects():
         (LinearUtility(np.ones(5)), 0.5, 2, "sizes differ"),
         (util, float("nan"), 2, "nonnegative number"),
         (util, -1.0, 2, "nonnegative number"),
+        (util, "0.5", 2, "nonnegative number"),
+        (util, None, 2, "nonnegative number"),
         (util, 0.5, 0, ">= 1"),
         (util, 0.5, -3, ">= 1"),
         (util, 0.5, 1.5, "must be an integer"),
         (util, 0.5, float("nan"), "must be an integer"),
     ]
     for utility, d, k, message in bad:
-        with pytest.raises(InputError, match=message):
-            brute_force_constrained(inst, utility, d, k)
+        for solver in (brute_force_constrained, greedy_independent_set):
+            with pytest.raises(InputError, match=message):
+                solver(inst, utility, d, k)
     assert util.query_count == 0
     # an integral k of any type, and a k above n, which walks every subset
     assert brute_force_constrained(inst, util, 0.5, 2.0) == brute_force_constrained(inst, util, 0.5, 2)

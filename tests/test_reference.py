@@ -126,7 +126,9 @@ def test_gist_and_simple_baseline_match_literal_reference(instance_kind):
 def test_classic_greedy_matches_literal_reference(instance_kind):
     for problem, label in problems(instance_kind):
         if problem.schedule == "geometric":  # classic greedy has no schedule
-            assert outcome(classic_greedy(problem)) == reference.classic_greedy(problem), label
+            sol = classic_greedy(problem)
+            expected = counted(problem.utility, lambda: reference.classic_greedy(problem))
+            assert (outcome(sol), sol.oracle_calls) == expected, label
 
 
 @pytest.mark.parametrize("instance_kind", sorted(INSTANCES))
