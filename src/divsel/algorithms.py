@@ -146,13 +146,12 @@ def greedy_independent_set(
     return next(_threshold_tree(instance, utility, np.array([d], dtype=np.float64), k, 0.0, [-math.inf]))[0]
 
 
-def _sweep_candidates(problem: Problem, schedule: np.ndarray) -> Iterator[_Candidate]:
-    """One sweep over ``[0.0] + schedule``, offered in order: the run at d = 0,
-    a diametrical pair when k >= 2, then each distinct run holding schedule
+def _sweep_candidates(problem: Problem, thresholds: np.ndarray) -> Iterator[_Candidate]:
+    """One sweep over ``thresholds`` (0.0 first), offered in order: the run at d = 0,
+    a diametrical pair when k >= 2, then each distinct run holding later
     thresholds with its largest (the one a later-wins loop would report); the
     sweep sees the largest f offered so far, to skip runs that stay below it."""
     inst, util, lam = problem.instance, problem.utility, problem.lam
-    thresholds = np.concatenate(([0.0], schedule))
     best = [-math.inf]
     for sel, lo, hi, run_div, state in _threshold_tree(inst, util, thresholds, problem.k, lam, best):
         g = state.value()  # the solver built sel and pair: no index check
@@ -238,7 +237,7 @@ def gist(problem: Problem) -> Solution:
 def simple_baseline(problem: Problem) -> Solution:
     """Best of the two extreme candidates: utility-only greedy and a
     diametrical pair (skipped when k < 2)."""
-    return _best_candidate(problem, "simple", _sweep_candidates(problem, np.empty(0)))
+    return _best_candidate(problem, "simple", _sweep_candidates(problem, np.zeros(1)))
 
 
 def classic_greedy(problem: Problem) -> Solution:

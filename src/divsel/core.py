@@ -91,7 +91,7 @@ def _run_args(instance: Instance, utility: UtilityOracle, d: float, k) -> int:
     nonnegative number and ``k`` meets :func:`_budget`; returns ``k`` as an int."""
     if utility.n != instance.n:
         raise InputError(f"utility and instance sizes differ: {utility.n} and {instance.n} points")
-    if not (isinstance(d, numbers.Real) and d >= 0):
+    if not (isinstance(d, numbers.Real) and type(d) not in _BOOLS and d >= 0):
         raise InputError(f"distance threshold must be a nonnegative number, got {d!r}")
     return _budget(k)
 
@@ -138,7 +138,7 @@ class Instance:
         self.metric = metric
         self._points: np.ndarray | None = None
         self._pairwise: np.ndarray | None = None
-        self._sorted_pair_distances: np.ndarray | None = None
+        self._sweep: np.ndarray | None = None
         self._diameter: tuple[float, tuple[int, int]] | None = None
         self._lock = threading.Lock()
         self.max_unit_deviation = 0.0
@@ -269,15 +269,21 @@ class Instance:
         return self.distance_matrix()[i]
 
     def pair_distances_sorted(self) -> np.ndarray:
-        """All n*(n-1)/2 pairwise distances, sorted ascending (cached; exhaustive schedule only)."""
-        if self._sorted_pair_distances is None:
-            m = self.distance_matrix()  # before the n^2 mask, so both are never built at once
-            with self._lock:
-                if self._sorted_pair_distances is None:
-                    vals = np.sort(m[~np.tri(self.n, dtype=bool)])  # i < j, in row-major order
-                    vals.setflags(write=False)
-                    self._sorted_pair_distances = vals
-        return self._sorted_pair_distances
+        """All n*(n-1)/2 pairwise distances, sorted ascending (a new array per call)."""
+        vals = self.distance_matrix()[~np.tri(self.n, dtype=bool)]  # i < j, in row-major order
+        vals.sort()
+        return vals
+
+    def _exhaustive_sweep(self) -> np.ndarray:
+        """0.0, then the sorted distinct half pair distances (built once, read-only)."""
+        self.distance_matrix()  # before the lock, which it takes itself
+        with self._lock:  # every reader takes it, so the array is published read-only
+            if self._sweep is None:
+                vals = self.pair_distances_sorted()
+                vals = vals[np.concatenate(([True], vals[1:] != vals[:-1]))]  # distinct, then halved
+                self._sweep = np.concatenate(([0.0], vals / 2.0))
+                self._sweep.setflags(write=False)
+        return self._sweep
 
     @property
     def d_max(self) -> float:
@@ -467,7 +473,7 @@ class Problem:
             raise InputError(f"cardinality budget {self.k} exceeds ground set size {self.instance.n}")
         if not (isinstance(self.epsilon, numbers.Real) and 0.0 < self.epsilon < 1.0):
             raise InputError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if not (isinstance(self.lam, numbers.Real) and 0.0 <= self.lam < math.inf):
+        if type(self.lam) in _BOOLS or not (isinstance(self.lam, numbers.Real) and 0.0 <= self.lam < math.inf):
             raise InputError(f"lam must be finite and nonnegative, got {self.lam!r}")
         if self.schedule not in SCHEDULES:
             raise InputError(f"unknown schedule {self.schedule!r}; expected one of {SCHEDULES}")
@@ -530,20 +536,19 @@ def distance_thresholds(problem: Problem) -> list[float]:
     half pairwise distances ``{dist(u, v)/2 : u != v}``.  Degenerate instances
     (fewer than two points, or diameter zero) yield an empty list.
     """
-    return _thresholds(problem).tolist()
+    return _thresholds(problem)[1:].tolist()
 
 
 def _thresholds(problem: Problem) -> np.ndarray:
-    """:func:`distance_thresholds` as a float array."""
+    """The thresholds a sweep runs at: 0.0, then :func:`distance_thresholds`."""
     inst = problem.instance
     if inst.n < 2 or inst.d_max == 0.0:
-        return np.empty(0)
+        return np.zeros(1)
     if problem.schedule == "exhaustive":
-        vals = inst.pair_distances_sorted()
-        return vals[np.concatenate(([True], vals[1:] != vals[:-1]))] / 2.0
+        return inst._exhaustive_sweep()
     eps = problem.epsilon
     base = eps * inst.d_max / 2.0
-    out: list[float] = []
+    out = [0.0]
     i = 0
     while (1.0 + eps) ** i <= 2.0 / eps:
         out.append((1.0 + eps) ** i * base)

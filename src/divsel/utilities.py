@@ -193,8 +193,8 @@ class MarginSimilarityUtility(UtilityOracle):
     Each undirected edge inside S contributes twice (once per order).
     Adjacency comes either from an explicit edge list ``(i, j, s)`` with
     similarities in [-1, 1], or from a dense symmetric similarity matrix
-    (diagonal ignored).  Submodular by construction but **not** monotone:
-    adding a point adjacent to the current set can lose value.
+    (diagonal ignored).  **Not** monotone: adding a point adjacent to the current
+    set can lose value; submodular (and declared so) only when no similarity is < 0.
     """
 
     kind = "margin_similarity"
@@ -258,6 +258,8 @@ class MarginSimilarityUtility(UtilityOracle):
                 canon.append((key[0], key[1], sval))
             self._adj = adj
             self.edges = tuple(sorted(canon))
+        sims = self._sim if self._sim is not None else [e[2] for e in self.edges]
+        self.submodular_declared = bool(np.all(np.greater_equal(sims, 0.0)))
 
     def _ordered_pair_sum(self, s):
         if not s:

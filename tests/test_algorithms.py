@@ -25,7 +25,7 @@ from divsel import (
     simple_baseline,
     utilities,
 )
-from divsel.core import SCHEDULES, QueryCounter, _GainState
+from divsel.core import SCHEDULES, QueryCounter, _GainState, _thresholds
 from support import METRIC_STYLES, every_kind, integer_cases, make_utility, random_metric_instance
 
 ALGORITHM_RUNS = [
@@ -358,6 +358,26 @@ def test_only_the_exhaustive_schedule_sorts_the_pairs(monkeypatch):
     assert zeros().instance.d_max.hex() == "0x0.0p+0"
     with pytest.raises(AssertionError, match="pair sort requested"):
         gist(fresh("exhaustive"))
+
+
+def test_the_exhaustive_schedule_is_built_once_per_instance(monkeypatch):
+    rng = np.random.default_rng(13)
+    instance = Instance.from_euclidean(rng.standard_normal((20, 3)))
+    sorts = []
+
+    def counted_sort(self, sort=Instance.pair_distances_sorted):
+        sorts.append(self)
+        return sort(self)
+
+    monkeypatch.setattr(Instance, "pair_distances_sorted", counted_sort)
+    problem = Problem(instance, LinearUtility(rng.uniform(0, 1, 20)), lam=0.5, k=4, schedule="exhaustive")
+    gist(problem)
+    gist(Problem(instance, ConstantZeroUtility(20), lam=1.0, k=3, schedule="exhaustive"))
+    thresholds = distance_thresholds(problem)
+    assert sorts == [instance]
+    swept = _thresholds(problem)
+    assert swept is _thresholds(problem) and not swept.flags.writeable
+    assert swept.tolist() == [0.0] + thresholds
 
 
 def test_gist_builds_one_sweep_state_and_the_pairs(monkeypatch):

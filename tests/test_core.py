@@ -170,15 +170,16 @@ def test_problem_validation():
         Problem(inst, ConstantZeroUtility(5), lam=1.0, k=2)  # size mismatch
     with pytest.raises(InputError):
         Problem(inst, util, lam=1.0, k=2.5)  # non-integral budget
-    for lam in (math.inf, math.nan, "0.5", None):
+    for lam in (math.inf, math.nan, "0.5", None, True):  # booleans are no numbers
         with pytest.raises(InputError):
             Problem(inst, util, lam=lam, k=2)
     for epsilon in ("0.1", None):
         with pytest.raises(InputError):
             Problem(inst, util, lam=1.0, k=2, epsilon=epsilon)
     assert Problem(inst, util, lam=1.0, k=np.int64(2)).k == 2  # numpy integers pass
-    with pytest.raises(InputError):
-        greedy_independent_set(inst, util, math.nan, 2)
+    for d in (math.nan, True):
+        with pytest.raises(InputError):
+            greedy_independent_set(inst, util, d, 2)
 
 
 def test_one_budget_rule_at_every_entry_point():

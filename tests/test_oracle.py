@@ -123,6 +123,7 @@ def test_constrained_rejects_what_the_greedy_rejects():
         (util, -1.0, 2, "nonnegative number"),
         (util, "0.5", 2, "nonnegative number"),
         (util, None, 2, "nonnegative number"),
+        (util, True, 3, "nonnegative number"),  # a boolean is no number, though it equals 1
         (util, 0.5, 0, ">= 1"),
         (util, 0.5, -3, ">= 1"),
         (util, 0.5, 1.5, "must be an integer"),

@@ -33,6 +33,7 @@ from divsel import (
     random_baseline,
     simple_baseline,
 )
+from divsel.core import _thresholds
 from support import counted, make_utility, random_metric_instance, sparse_coverage_utility
 
 
@@ -262,6 +263,10 @@ def test_zero_thresholds_match_literal_reference(kind):
     # every point, the pick included, is at distance >= a floor <= 0 from the
     # pick, so the sweep must leave the pick out by position at such a floor
     inst = zero_distance_instance(kind)
+    distances = (0.0, 1.0, 2.0) if kind == "signed-zeros" else (0.0, 1.0, 2.0, math.sqrt(5), math.sqrt(10))
+    swept = [0.0] + sorted({d / 2 for d in distances})  # 0.0 twice: the d = 0 run, then the zero pairs
+    problem = Problem(inst, ConstantZeroUtility(inst.n), lam=1.0, k=2, schedule="exhaustive")
+    assert list(map(float.hex, _thresholds(problem).tolist())) == list(map(float.hex, swept))
     for u, utility_kind in enumerate(("linear", "budget", "coverage", "zero", "value-only")):
         for k in (2, 4, inst.n):
             rng = np.random.default_rng(10 * u + k)

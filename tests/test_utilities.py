@@ -442,6 +442,22 @@ def test_margin_similarity_monotonicity_violation_witnessed():
     assert witness.gain < 0
 
 
+def test_margin_similarity_declares_submodular_only_without_negative_similarities():
+    # a negative similarity makes a pair worth more than its parts
+    sim = np.zeros((3, 3))
+    sim[0, 1] = sim[1, 0] = -1.0
+    for params in ({"edges": [(0, 1, -1.0)]}, {"similarity": sim}):
+        util = MarginSimilarityUtility([1.0, 1.0, 1.0], **params)
+        assert not util.submodular_declared
+        assert check_monotone_submodular(util, exhaustive=True).submodularity_violation_count == 6
+    sim[0, 1] = sim[1, 0] = 0.5
+    np.fill_diagonal(sim, -1.0)  # the diagonal is ignored
+    for params in ({"edges": [(0, 1, 0.5), (1, 2, 0.0)]}, {"similarity": sim}):
+        util = MarginSimilarityUtility([1.0, 1.0, 1.0], **params)
+        assert util.submodular_declared
+        assert check_monotone_submodular(util, exhaustive=True).submodularity_violation_count == 0
+
+
 def test_checker_is_deterministic():
     util = random_coverage_utility(np.random.default_rng(12), 9)
     a = check_monotone_submodular(util, trials=300, seed=42)
