@@ -59,7 +59,8 @@ def _threshold_tree(
     gain once, at the root, and its copies share them.  Yields ``(selection in order,
     lo, hi, run_div, state)`` by ascending ``lo``, ``run_div`` being the selection's
     minimum distance (+inf below two points) and ``state`` the run's gain state, at
-    the selection; its ``value()`` is the run's g, counted when read.
+    the selection; its ``value()`` is the run's g, counted when read.  A step reads
+    dist(t, S) once, and searches ``thresholds`` only when it lies below ``thresholds[hi]``.
 
     For a kind of :data:`_BOUNDED`, a path at prefix S with candidates C only
     has runs of f <= g(S) + (the k - |S| largest gains at S over C) + ``lam`` *
@@ -98,7 +99,8 @@ def _threshold_tree(
                 bound = g + (k - len(sel)) * gain + lam * min(d_max, run_div)
                 if bound + VALUE_RTOL * abs(bound) < limit:
                     break  # no run through S can beat the best offer
-            top = last = min(hi, int(cut(min_dist[t], "right")) - 1)
+            dt = min_dist.item(t)  # dist(t, S); top: the last of thresholds[:hi + 1] at or below it
+            top = last = hi if dt >= thresholds.item(hi) else int(cut(dt, "right")) - 1
             at = len(paths)  # each higher branch goes below the lower ones: they pop ascending
             while last < hi:  # peel off the thresholds above dist(t, S)
                 first = last + 1
@@ -118,7 +120,7 @@ def _threshold_tree(
                                   g + gu, state.copy(), (g, gu, pg)))
             row = rows[t]  # a floor above 0 drops t itself through its zero diagonal entry
             cand = cand[row[cand] >= floor] if floor > 0 else cand[cand != t]
-            hi, run_div, g = top, min(run_div, float(min_dist[t])), g + gain
+            hi, run_div, g = top, min(run_div, dt), g + gain
             np.minimum(min_dist, row, out=min_dist)
             sel.append(t)
             state.add(t)
@@ -208,7 +210,7 @@ class _Chain:
         rows, lam = self.problem.instance.distance_matrix(), self.problem.lam
         min_dist, state, order, values = self.min_dist, self.state, [], []
         for t in picks:
-            self.div = div = min(self.div, float(min_dist[t]))
+            self.div = div = min(self.div, min_dist.item(t))
             np.minimum(min_dist, rows[t], out=min_dist)
             state.add(t)
             g = state.value()

@@ -78,6 +78,25 @@ def integral(x, what: str) -> int:
     return i
 
 
+def _real(x) -> bool:
+    """Whether ``x`` is a real number and no boolean: the rule for every float parameter."""
+    return isinstance(x, numbers.Real) and type(x) not in _BOOLS
+
+
+def _float_array(values, what: str) -> np.ndarray:
+    """``values`` as a new float64 array when every entry is a number by its exact type, as
+    in the embeddings loader: an array of float or integer dtype, or nested sequences of
+    ints, floats and numpy numbers.  A boolean, string or None raises InputError."""
+    if isinstance(values, np.ndarray):
+        numeric = values.dtype.kind in "fiu"
+    else:  # bool is no int here, np.bool_ no np.integer
+        numeric = all(t in (int, float) or issubclass(t, (np.integer, np.floating))
+                      for t in set(map(type, np.array(values, dtype=object).flat)))
+    if not numeric:
+        raise InputError(f"{what} must be numbers, not booleans, strings or None")
+    return np.array(values, dtype=np.float64)
+
+
 def _budget(k, what: str = "budget k") -> int:
     """The one budget rule: ``k`` as an int by :func:`integral`, at least 1."""
     k = integral(k, what)
@@ -91,7 +110,7 @@ def _run_args(instance: Instance, utility: UtilityOracle, d: float, k) -> int:
     nonnegative number and ``k`` meets :func:`_budget`; returns ``k`` as an int."""
     if utility.n != instance.n:
         raise InputError(f"utility and instance sizes differ: {utility.n} and {instance.n} points")
-    if not (isinstance(d, numbers.Real) and type(d) not in _BOOLS and d >= 0):
+    if not (_real(d) and d >= 0):
         raise InputError(f"distance threshold must be a nonnegative number, got {d!r}")
     return _budget(k)
 
@@ -471,9 +490,9 @@ class Problem:
         object.__setattr__(self, "k", _run_args(self.instance, self.utility, 0.0, self.k))
         if self.k > self.instance.n:
             raise InputError(f"cardinality budget {self.k} exceeds ground set size {self.instance.n}")
-        if not (isinstance(self.epsilon, numbers.Real) and 0.0 < self.epsilon < 1.0):
+        if not (_real(self.epsilon) and 0.0 < self.epsilon < 1.0):
             raise InputError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if type(self.lam) in _BOOLS or not (isinstance(self.lam, numbers.Real) and 0.0 <= self.lam < math.inf):
+        if not (_real(self.lam) and 0.0 <= self.lam < math.inf):
             raise InputError(f"lam must be finite and nonnegative, got {self.lam!r}")
         if self.schedule not in SCHEDULES:
             raise InputError(f"unknown schedule {self.schedule!r}; expected one of {SCHEDULES}")

@@ -10,7 +10,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import UtilityOracle, _BOOLS, _GainState, _budget, integral
+from .core import UtilityOracle, _BOOLS, _GainState, _budget, _float_array, _real, integral
 from .errors import InputError
 
 
@@ -35,7 +35,7 @@ class LinearUtility(UtilityOracle):
     kind = "linear"
 
     def __init__(self, weights: Sequence[float] | np.ndarray):
-        w = np.array(weights, dtype=np.float64)
+        w = _float_array(weights, "weights")
         if w.ndim != 1 or w.size < 1:
             raise InputError("weights must be a nonempty 1-D array")
         if not np.isfinite(w).all() or (w < 0).any():
@@ -135,18 +135,19 @@ class BudgetAdditiveUtility(UtilityOracle):
     monotone and submodular, bounded by alpha * beta.  ``k`` is the cap's normalizer, usually
     the selection budget.  Sums are exact ints in units of 1 / ``_den``, a power of two that
     makes every weight (53-bit mantissa) an integer, so g takes the weights' ``math.fsum``.
+    A unit is ``_mant << _sh``, from one ``np.frexp`` (a subnormal's mantissa shifted right).
     """
 
     kind = "budget_additive"
 
     def __init__(self, weights: Sequence[float] | np.ndarray, alpha: float, beta: float, k: int):
-        w = np.array(weights, dtype=np.float64)
+        w = _float_array(weights, "weights")
         if w.ndim != 1 or w.size < 1:
             raise InputError("weights must be a nonempty 1-D array")
         if not np.isfinite(w).all() or (w < 0).any() or (w > 1).any():
             raise InputError("budget-additive weights must lie in [0, 1]")
-        if not 0.0 <= alpha <= 1.0 or not 0.0 <= beta <= 1.0:
-            raise InputError("alpha and beta must lie in [0, 1]")
+        if not (_real(alpha) and _real(beta) and 0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
+            raise InputError(f"alpha {alpha!r} and beta {beta!r} must be numbers in [0, 1]")
         k = _budget(k, "cap normalizer k")
         w.setflags(write=False)
         super().__init__(w.size, monotone_declared=True, submodular_declared=True)
@@ -154,36 +155,49 @@ class BudgetAdditiveUtility(UtilityOracle):
         self.alpha = float(alpha)
         self.beta = float(beta)
         self.k = k
-        self._den = 2 ** min(53 - int(np.frexp(w)[1].min()), 1074)  # 2**1074 suits any float
-
-    def _unit(self, w: float) -> int:  # w * _den exactly: w is n / d, d divides _den
-        n, d = w.as_integer_ratio()
-        return n * (self._den // d)
+        mant, exp = np.frexp(w)
+        den = min(53 - int(exp.min()), 1074)  # 2**1074 suits any float
+        self._den, self._w_max, sh = 2 ** den, float(w.max()), exp.astype(np.int64) + (den - 53)
+        self._mant, self._sh = (mant * 2.0**53).astype(np.int64) >> np.maximum(-sh, 0), np.maximum(sh, 0)
+        for units in (self._mant, self._sh):
+            units.setflags(write=False)
 
     def _gain_state(self, base=()):
         return _BudgetGains(self, base)
 
 
 class _BudgetGains(_GainState):
-    """alpha * min((total + w_v) / k, beta) - g(S) in place; total = units / _den, rounded once."""
+    """alpha * min((total + w_v) / k, beta) - g in place.  ``add`` sets total = units / _den,
+    avg = total / k, g and the regime once: capped (avg >= beta > 0: each gain is +0.0), free
+    ((w_max + total) / k < beta: no minimum) or straddling.  Rounding is monotone: same bits."""
 
     def __init__(self, utility: BudgetAdditiveUtility, base=()):
-        self.utility, self.units = utility, sum(map(utility._unit, utility.weights[list(base)].tolist()))
+        b, self.utility = list(base), utility
+        self._set(sum(map(int.__lshift__, utility._mant[b].tolist(), utility._sh[b].tolist())))
 
     def add(self, v):
-        self.units += self.utility._unit(self.utility.weights.item(v))
+        self._set(self.units + (self.utility._mant.item(v) << self.utility._sh.item(v)))
+
+    def _set(self, units):
+        u = self.utility  # int / int true division rounds correctly
+        self.units, self.total = units, units / u._den
+        avg = self.total / u.k
+        self.g, self.capped = u.alpha * min(avg, u.beta), avg >= u.beta > 0  # beta -0.0: -0.0 gains
+        self.free = (u._w_max + self.total) / u.k < u.beta
 
     def _g(self):
-        u = self.utility  # int / int true division rounds correctly
-        return u.alpha * min(self.units / u._den / u.k, u.beta)
+        return self.g
 
     def _gains(self, cand):
         u = self.utility
-        gains = u.weights[cand] + self.units / u._den
+        if self.capped:
+            return np.zeros(cand.size)
+        gains = u.weights[cand] + self.total
         gains /= u.k
-        np.minimum(gains, u.beta, out=gains)
+        if not self.free:
+            np.minimum(gains, u.beta, out=gains)
         gains *= u.alpha
-        return np.subtract(gains, self._g(), out=gains)
+        return np.subtract(gains, self.g, out=gains)
 
 
 class MarginSimilarityUtility(UtilityOracle):
@@ -208,12 +222,12 @@ class MarginSimilarityUtility(UtilityOracle):
         alpha_s: float = 0.9,
         beta_s: float = 0.1,
     ):
-        u = np.array(uncertainty, dtype=np.float64)
+        u = _float_array(uncertainty, "uncertainty")
         if u.ndim != 1 or u.size < 1:
             raise InputError("uncertainty must be a nonempty 1-D array")
         if not np.isfinite(u).all() or (u < 0).any() or (u > 2).any():
             raise InputError("uncertainty scores must lie in [0, 2]")
-        if not (0.0 <= alpha_s < np.inf and 0.0 <= beta_s < np.inf):  # NaN fails too
+        if not (_real(alpha_s) and _real(beta_s) and 0.0 <= alpha_s < np.inf and 0.0 <= beta_s < np.inf):
             raise InputError(f"alpha_s {alpha_s} and beta_s {beta_s} must be finite and nonnegative")
         if (edges is None) == (similarity is None):
             raise InputError("provide exactly one of 'edges' or 'similarity'")
@@ -227,7 +241,7 @@ class MarginSimilarityUtility(UtilityOracle):
         self.edges: tuple[tuple[int, int, float], ...] = ()
 
         if similarity is not None:
-            sim = np.array(similarity, dtype=np.float64)
+            sim = _float_array(similarity, "similarity")
             if sim.shape != (self.n, self.n):
                 raise InputError("similarity matrix must be n x n")
             if not (sim == sim.T).all():
@@ -242,13 +256,14 @@ class MarginSimilarityUtility(UtilityOracle):
             seen: set[tuple[int, int]] = set()
             canon = []
             for i, j, sval in edges:
-                i, j, sval = integral(i, "edge index"), integral(j, "edge index"), float(sval)
+                i, j = integral(i, "edge index"), integral(j, "edge index")
                 if i == j:
                     raise InputError("similarity edges must join distinct points")
                 if not (0 <= i < self.n and 0 <= j < self.n):
                     raise InputError("similarity edge index out of range")
-                if not -1.0 <= sval <= 1.0:
-                    raise InputError("similarities must lie in [-1, 1]")
+                if not (_real(sval) and -1.0 <= sval <= 1.0):  # NaN fails too
+                    raise InputError(f"similarities must be numbers in [-1, 1], got {sval!r}")
+                sval = float(sval)
                 key = (min(i, j), max(i, j))
                 if key in seen:
                     raise InputError(f"duplicate similarity edge {key}")
@@ -312,7 +327,7 @@ class TabulatedUtility(UtilityOracle):
         submodular_declared: bool = False,
     ):
         n = self._size(n)
-        table = np.array(values, dtype=np.float64)
+        table = _float_array(values, "tabulated values")
         if table.shape != (1 << n,):
             raise InputError(f"expected 2^{n} subset values, got {table.shape}")
         if not np.isfinite(table).all():

@@ -172,6 +172,27 @@ def test_non_numbers_and_short_edges_are_parse_errors(tmp_path):
                "--out", tmp_path / "x.csv") == 2
 
 
+def test_utility_fields_that_are_no_numbers_exit_3(tmp_path):
+    # a utility file's numbers reach the utility class, which refuses booleans, strings
+    # and None (InputError, exit 3) instead of reading True as 1.0 and "0.5" as 0.5
+    inst, util, out = tmp_path / "inst.json", tmp_path / "util.json", tmp_path / "x.csv"
+    inst.write_text(json.dumps({"n": 3, "metric": "euclidean", "points": [[0.0], [1.0], [3.0]]}))
+    budget = {"kind": "budget_additive", "weights": [0.5, 0.2, 0.9], "alpha": 0.9, "beta": 0.5}
+    margin = {"kind": "margin_similarity", "uncertainty": [0.5, 0.2, 0.9], "edges": [[0, 1, 0.5]]}
+    docs = [({"kind": "linear", "weights": [0.5, 0.2, 0.9]}, 0), (budget, 0), (margin, 0)]
+    for bad in (True, "0.5", None):
+        docs += [({"kind": "linear", "weights": [bad, 0.2, 0.9]}, 3),
+                 ({**budget, "weights": [bad, 0.2, 0.9]}, 3),
+                 ({**budget, "alpha": bad}, 3), ({**budget, "beta": bad}, 3),
+                 ({**margin, "uncertainty": [bad, 0.2, 0.9]}, 3),
+                 ({**margin, "alpha_s": bad}, 3), ({**margin, "beta_s": bad}, 3),
+                 ({**margin, "edges": [[0, 1, bad]]}, 3)]
+    for doc, code in docs:
+        util.write_text(json.dumps(doc))
+        assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 2,
+                   "--out", out) == code, doc
+
+
 def test_sweep_row_grid_and_stability(greedy_hard_files, tmp_path):
     inst, util = greedy_hard_files
     out1 = tmp_path / "sweep1.csv"

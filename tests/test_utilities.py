@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from divsel import (
     objective,
 )
 from divsel.core import _FixedGains
+from divsel.utilities import _BudgetGains
 from support import (
     every_kind,
     integer_cases,
@@ -392,6 +394,76 @@ def test_budget_additive_sum_is_correctly_rounded():
         util = BudgetAdditiveUtility(w, alpha=1.0, beta=1.0, k=16)
         s = [int(i) for i in np.flatnonzero(rng.random(12) < 0.6)]
         assert util.evaluate(s) == math.fsum(w[s].tolist()) / 16
+
+
+def test_budget_additive_units_and_gains_are_the_literal_formula_in_every_regime():
+    # each point's unit, mant << sh, is its weight times _den exactly; a state's gains are
+    # alpha * min((fsum(S) + w) / k, beta) - g(S) by float.hex whether every candidate is
+    # past the cap (capped), none reaches it (free) or the cap falls among them
+    rng = np.random.default_rng(22)
+    u = rng.uniform(0.0, 1.0, 12)
+    families = [u ** rng.integers(1, 30, 12),  # many binades
+                np.where(rng.random(12) < 0.4, rng.choice([5e-324, 1e-310, 2**-1022], 12), u),
+                np.array([0.0, -0.0, 1.0, 0.5, 0.25, 0.25, 5e-324, 1e-310, 0.75, 0.0, 1.0, 0.125]),
+                np.full(12, 0.3)]
+    seen = set()
+    for w in families:
+        for alpha, beta, k in itertools.product((0.0, 0.5, 0.95, 1.0), (0.0, 0.1, 0.375, 0.75, 1.0),
+                                                (1, 2, 12, 25)):
+            util = BudgetAdditiveUtility(w, alpha, beta, k)
+            units = [m << s for m, s in zip(util._mant.tolist(), util._sh.tolist())]
+            assert units == [Fraction(x) * util._den for x in w.tolist()]
+            assert min(util._sh.tolist()) >= 0
+            for _ in range(3):
+                s = sorted(int(i) for i in np.flatnonzero(rng.random(12) < rng.random()))
+                cand = np.array([v for v in range(12) if v not in s], dtype=np.intp)
+                total = math.fsum(w[s].tolist())
+                g = alpha * min(total / k, beta)
+                expected = [(alpha * min((total + x) / k, beta) - g).hex() for x in w[cand].tolist()]
+                state = _BudgetGains(util, s)
+                assert [x.hex() for x in state.gains(cand).tolist()] == expected
+                assert [x.hex() for x in util.batch_marginal(cand, s).tolist()] == expected
+                assert state.value().hex() == g.hex()
+                seen.add("capped" if state.capped else "free" if state.free else "straddling")
+    assert seen == {"capped", "free", "straddling"}
+    # a selection exactly at the cap: avg == beta, so every gain is +0.0
+    util = BudgetAdditiveUtility([0.5, 0.25, 0.25, 1.0], alpha=0.95, beta=0.375, k=2)
+    state = _BudgetGains(util, [0, 1])
+    assert state.capped and state.value() == 0.95 * 0.375
+    assert [x.hex() for x in state.gains(np.array([2, 3])).tolist()] == ["0x0.0p+0"] * 2
+
+
+def test_float_parameters_and_weights_must_be_numbers():
+    # booleans, strings and None are no numbers, as in the embeddings loader
+    for bad in (True, np.True_, "0.5", None):
+        for params in ({"alpha": bad, "beta": 0.5}, {"alpha": 0.9, "beta": bad}):
+            with pytest.raises(InputError, match="must be numbers"):
+                BudgetAdditiveUtility([0.5, 0.5], k=2, **params)
+        for params in ({"alpha_s": bad}, {"beta_s": bad}):
+            with pytest.raises(InputError, match="finite and nonnegative"):
+                MarginSimilarityUtility([0.5, 0.5], edges=[(0, 1, 0.5)], **params)
+        with pytest.raises(InputError, match="must be numbers"):
+            MarginSimilarityUtility([0.5, 0.5], edges=[(0, 1, bad)])
+    for bad in (["0.5", 0.2, 0.9], [True, 0.2, 0.9], [np.True_, 0.2, 0.9], [None, 0.2, 0.9],
+                np.array([True, False, True]), np.array(["0.5", "0.2", "0.9"]),
+                np.array([0.5, 0.2, None], dtype=object)):
+        for make in (LinearUtility, lambda w: BudgetAdditiveUtility(w, 0.9, 0.5, 2),
+                     lambda w: MarginSimilarityUtility(w, edges=[])):
+            with pytest.raises(InputError, match="must be numbers"):
+                make(bad)
+    for bad in ([[0.0, True], [True, 0.0]], [[0.0, "1"], ["1", 0.0]]):
+        with pytest.raises(InputError, match="must be numbers"):
+            MarginSimilarityUtility([0.5, 0.5], similarity=bad)
+    with pytest.raises(InputError, match="must be numbers"):
+        TabulatedUtility(1, [0.0, "1.0"])
+    with pytest.raises(InputError, match="must be numbers"):
+        TabulatedUtility(1, [False, True])
+    # ints, floats, numpy numbers and numeric arrays pass, as before
+    for good in ([1, 0.5, 0], [np.float64(1.0), np.float32(0.5), np.int64(0)], (1, 0.5, 0),
+                 np.array([1.0, 0.5, 0.0], dtype=np.float32), np.array([2, 1, 0]) / 2):
+        assert LinearUtility(good).weights.tolist() == [1.0, 0.5, 0.0]
+        assert BudgetAdditiveUtility(good, np.float64(0.9), 1, 2).beta == 1.0
+    assert LinearUtility(np.array([2, 0], dtype=np.uint8)).weights.tolist() == [2.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
