@@ -49,18 +49,23 @@ def _threshold_tree(
     """The greedy independent set at each of the ascending ``thresholds``: one
     depth-first sweep that shares the common prefixes of the runs.
 
-    At a prefix S of the runs at ``thresholds[lo:hi + 1]``, gains are asked
-    once, for the candidates at ``thresholds[lo]``.  Their pick t (ties to the
-    lowest index) is every threshold's pick up to dist(t, S); each higher one
-    takes the best candidate it still has, in a branch, or its run ends at S.
-    Each path carries its own gain state: the root builds one; a branch copies the
-    state at S and adds its pick when popped.  For an exact linear or constant-zero
-    utility (not a subclass) it is a :class:`_FixedGains`, which asks each point's
-    gain once, at the root, and its copies share them.  Yields ``(selection in order,
-    lo, hi, run_div, state)`` by ascending ``lo``, ``run_div`` being the selection's
-    minimum distance (+inf below two points) and ``state`` the run's gain state, at
-    the selection; its ``value()`` is the run's g, counted when read.  A step reads
-    dist(t, S) once, and searches ``thresholds`` only when it lies below ``thresholds[hi]``.
+    A path at a prefix S of the runs at ``thresholds[lo:hi + 1]`` keeps ``min_dist``,
+    each point's distance to S (-1 for a point of S); its candidates are the points
+    with ``min_dist >= thresholds[lo]``.  Its gain state picks among them (``pick``:
+    one query per candidate, ties to the lowest index) the t that is every
+    threshold's pick up to dist(t, S); each higher one takes the best candidate it
+    still has, in a branch, or its run ends at S.  A step that peels such branches
+    reads its candidates' gain vector from the pick, or uncounted (``_gains``) when
+    the pick built none: the pick counted them.  Each path carries its own gain
+    state and walk position: the root builds a state (for an exact linear or
+    constant-zero utility, not a subclass, a :class:`_FixedGains`, which asks each
+    point's gain once and shares them with its copies); a branch copies the state
+    at S, adds its pick when popped, and starts at its parent's position.  Yields
+    ``(selection in order, lo, hi, run_div, state)`` by ascending ``lo``,
+    ``run_div`` being the selection's minimum distance (+inf below two points) and
+    ``state`` the run's gain state, at the selection; its ``value()`` is the run's
+    g, counted when read.  A step reads dist(t, S) once, and searches
+    ``thresholds`` only when it lies below ``thresholds[hi]``.
 
     For a kind of :data:`_BOUNDED`, a path at prefix S with candidates C only
     has runs of f <= g(S) + (the k - |S| largest gains at S over C) + ``lam`` *
@@ -69,15 +74,16 @@ def _threshold_tree(
     offered so far: a branch by its parent's gains, a step by the cap with
     (k - |S|) * (largest gain) in place of the sum.
     """
-    # pending paths: (S, lo, hi, dist(v, S) or +inf, candidates at thresholds[lo], run_div, g(S),
-    # its own gain state, None or a branch's (g, pick's gain, its gains) at its parent)
+    # pending paths: (S, lo, hi, min_dist or None when no point is left at thresholds[lo], walk
+    # position, run_div, g(S), its own gain state, None or a branch's (g, pick's gain, its gains)
+    # at its parent)
     n, rows, cut, d_max = instance.n, instance.distance_matrix(), thresholds.searchsorted, instance.d_max
     fixed = type(utility) in (LinearUtility, ConstantZeroUtility)  # gains that do not depend on S
     root = _FixedGains(utility) if fixed else utility._gain_state()
-    paths = [([], 0, len(thresholds) - 1, np.full(n, np.inf), np.arange(n), math.inf, 0.0, root, None)]
+    paths = [([], 0, len(thresholds) - 1, np.full(n, np.inf), 0, math.inf, 0.0, root, None)]
     bounded = type(utility) in _BOUNDED
     while paths:
-        sel, lo, hi, min_dist, cand, run_div, g, state, parent = paths.pop()
+        sel, lo, hi, min_dist, pos, run_div, g, state, parent = paths.pop()
         limit = best[0] if bounded and best[0] > -math.inf else None  # None: nothing to skip
         if parent is not None and limit is not None:  # runs P + R, P the parent, R in its gains
             g0, top, pg = parent  # runs ending at P: no gains, top 0
@@ -90,38 +96,38 @@ def _threshold_tree(
                 continue
         if parent is not None and min_dist is not None:  # a branch with a pick:
             state.add(sel[-1])  # it joins the branch's copy of its parent's state once the bound keeps it
-        floor = thresholds[lo]
-        while len(sel) < k and cand.size:
-            gains = state.gains(cand)
-            i = gains.argmax()
-            t, gain = int(cand[i]), gains.item(i)
+        floor = thresholds.item(lo)
+        while min_dist is not None and len(sel) < k and (step := state.pick(min_dist, floor, pos)):
+            t, gain, pos, gains = step
             if limit is not None:
                 bound = g + (k - len(sel)) * gain + lam * min(d_max, run_div)
                 if bound + VALUE_RTOL * abs(bound) < limit:
                     break  # no run through S can beat the best offer
             dt = min_dist.item(t)  # dist(t, S); top: the last of thresholds[:hi + 1] at or below it
             top = last = hi if dt >= thresholds.item(hi) else int(cut(dt, "right")) - 1
-            at = len(paths)  # each higher branch goes below the lower ones: they pop ascending
+            if last < hi:
+                cand = (min_dist >= floor).nonzero()[0]
+                if gains is None:  # the pick built none; it counted them
+                    gains = state._gains(cand)
+                at = len(paths)  # each higher branch goes below the lower ones: they pop ascending
             while last < hi:  # peel off the thresholds above dist(t, S)
                 first = last + 1
                 sub = (min_dist[cand] >= thresholds[first]).nonzero()[0]
                 if not sub.size:  # their runs end at S
-                    paths.insert(at, (sel.copy(), first, hi, None, sub, run_div, g,
+                    paths.insert(at, (sel.copy(), first, hi, None, pos, run_div, g,
                                       state.copy(), (g, 0.0, gains[sub])))
                     break
-                rest = cand[sub]  # thresholds[first] > dist(t, S) >= 0: u's zero entry drops it
                 pg = gains[sub]
                 j = pg.argmax()
-                u, gu = int(rest[j]), pg.item(j)
-                row = rows[u]
+                u, gu = int(cand[sub[j]]), pg.item(j)
+                branch = np.minimum(min_dist, rows[u])
+                branch[u] = -1.0
                 last = min(hi, int(cut(min_dist[u], "right")) - 1)
-                paths.insert(at, (sel + [u], first, last, np.minimum(min_dist, row),
-                                  rest[row[rest] >= thresholds[first]], min(run_div, float(min_dist[u])),
+                paths.insert(at, (sel + [u], first, last, branch, pos, min(run_div, float(min_dist[u])),
                                   g + gu, state.copy(), (g, gu, pg)))
-            row = rows[t]  # a floor above 0 drops t itself through its zero diagonal entry
-            cand = cand[row[cand] >= floor] if floor > 0 else cand[cand != t]
             hi, run_div, g = top, min(run_div, dt), g + gain
-            np.minimum(min_dist, row, out=min_dist)
+            np.minimum(min_dist, rows[t], out=min_dist)
+            min_dist[t] = -1.0
             sel.append(t)
             state.add(t)
         else:

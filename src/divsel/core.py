@@ -86,15 +86,19 @@ def _real(x) -> bool:
 def _float_array(values, what: str) -> np.ndarray:
     """``values`` as a new float64 array when every entry is a number by its exact type, as
     in the embeddings loader: an array of float or integer dtype, or nested sequences of
-    ints, floats and numpy numbers.  A boolean, string or None raises InputError."""
+    ints, floats and numpy numbers.  A boolean, string, None, ragged row or an int beyond
+    the float range raises InputError."""
     if isinstance(values, np.ndarray):
         numeric = values.dtype.kind in "fiu"
     else:  # bool is no int here, np.bool_ no np.integer
         numeric = all(t in (int, float) or issubclass(t, (np.integer, np.floating))
                       for t in set(map(type, np.array(values, dtype=object).flat)))
     if not numeric:
-        raise InputError(f"{what} must be numbers, not booleans, strings or None")
-    return np.array(values, dtype=np.float64)
+        raise InputError(f"{what} must be numbers, not booleans, strings, None or ragged rows")
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError as exc:  # an int beyond the float range
+        raise InputError(f"{what} must be numbers in the float range: {exc}") from exc
 
 
 def _budget(k, what: str = "budget k") -> int:
@@ -166,7 +170,7 @@ class Instance:
             if matrix is None or points is not None:
                 raise InputError("matrix metric requires 'matrix' and forbids 'points'")
             try:
-                m = np.array(matrix, dtype=np.float64)
+                m = _float_array(matrix, "distance matrix entries")
             except ValueError as exc:
                 raise InputError(f"malformed distance matrix: {exc}") from exc
             self._validate_matrix(m, validate_triangle)
@@ -177,7 +181,7 @@ class Instance:
             if points is None or matrix is not None:
                 raise InputError(f"{metric} metric requires 'points' and forbids 'matrix'")
             try:
-                p = np.array(points, dtype=np.float64)
+                p = _float_array(points, "point coordinates")
             except ValueError as exc:
                 raise InputError(f"malformed point list: {exc}") from exc
             if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] < 1:
@@ -362,6 +366,10 @@ class UtilityOracle:
     * its own ``_gain_state(base)``, where state kept across a growing selection
       pays (coverage, budget-additive): a :class:`_GainState` with ``_gains``, ``add`` and ``_g``.
 
+    A sweep step asks its state for ``pick``, which counts one query per candidate: by default
+    the argmax of ``gains``; :class:`_FixedGains` and budget-additive below the cap walk a
+    fixed order of the points instead.
+
     ``evaluate``, ``marginal`` (``batch_marginal`` of one candidate) and
     ``batch_marginal`` build a state at their base set, as the solvers do.
     Parameters are immutable; the query counter is the only mutable state.
@@ -418,21 +426,35 @@ class UtilityOracle:
 
 class _GainState:
     """Gains against a growing selection, unchecked: callers pass in-range candidates
-    disjoint from it.  The one counter of queries: ``gains`` counts one per candidate and
-    ``value`` (g of the selection) one, over the uncounted ``_gains`` and ``_g``; ``add``
-    grows it; ``copy`` shares only read-only arrays with it (this one copies each writable
-    numpy array attribute).  This default asks ``_batch_marginal`` and ``_value`` on the
-    sorted ``s``; a kind with its own state overrides ``_gains``, ``add`` and ``_g``."""
+    disjoint from it.  The one counter of queries: ``gains`` counts one per candidate,
+    ``pick`` one per candidate of its step and ``value`` (g of the selection) one, over the
+    uncounted ``_gains`` and ``_g``; ``add`` grows it; ``copy`` shares only read-only arrays
+    with it (this one copies each writable numpy array attribute).  This default asks
+    ``_batch_marginal`` and ``_value`` on the sorted ``s``, and picks by the argmax of
+    ``gains``; a kind with its own state overrides ``_gains``, ``add`` and ``_g``, and may
+    override ``pick``."""
 
     def __init__(self, utility: UtilityOracle, base: Iterable[int] = ()):
         self.utility, self.s = utility, tuple(sorted(base))
 
     def gains(self, cand: np.ndarray) -> np.ndarray:
         self.utility._queries.add(int(cand.size))
-        return np.asarray(self._gains(cand), dtype=np.float64)
+        return self._gains(cand)
 
     def _gains(self, cand: np.ndarray) -> np.ndarray:
-        return self.utility._batch_marginal(cand, self.s)
+        return np.asarray(self.utility._batch_marginal(cand, self.s), dtype=np.float64)
+
+    def pick(self, min_dist: np.ndarray, floor: float, pos: int):
+        """``(t, its gain, pos, gains)`` for the candidate t of largest gain (ties to the lowest
+        index) among the points with ``min_dist >= floor``, or None; one query per candidate.
+        ``gains`` is their gain vector when the pick built one, else None.  No candidate lies
+        before ``pos`` on a walking state's order: it may return ``pos`` moved."""
+        cand = (min_dist >= floor).nonzero()[0]
+        if not cand.size:
+            return None
+        gains = self.gains(cand)
+        i = gains.argmax()
+        return int(cand[i]), gains.item(i), pos, gains
 
     def value(self) -> float:
         self.utility._queries.add(1)
@@ -452,18 +474,47 @@ class _GainState:
         return new
 
 
+def _descending(values: np.ndarray) -> np.ndarray:
+    """Positions by value descending, then position (-0.0 ties +0.0): compact, read-only."""
+    order = np.argsort(-values)  # a stable sort is about 4x slower: only for tied values
+    if (np.diff(values[order]) == 0).any():
+        order = np.argsort(-values, kind="stable")
+    order = order.astype(np.min_scalar_type(values.size))
+    order.setflags(write=False)
+    return order
+
+
+def _walk(order: np.ndarray, min_dist: np.ndarray, floor: float, pos: int) -> int:
+    """The first position from ``pos`` on of a point with ``min_dist >= floor``, or the end."""
+    while pos < order.size and min_dist.item(order.item(pos)) < floor:
+        pos += 1
+    return pos
+
+
 class _FixedGains(_GainState):
     """The sweep's state for a kind whose gains never change with the selection (an exact
     linear or zero utility): it asks and counts every point's gain once, when built at the
-    empty set, and serves them uncounted from one read-only array that its copies share."""
+    empty set, and serves them uncounted from one read-only array that its copies share.
+    Its ``pick`` counts nothing and walks ``order``, the points by gain descending, then
+    index: a point that stops being a candidate never becomes one again."""
 
     def __init__(self, utility: UtilityOracle):
         super().__init__(utility)
-        self.fixed = super().gains(np.arange(utility.n))
+        self.fixed = _GainState(utility).gains(np.arange(utility.n))
         self.fixed.setflags(write=False)
+        self.order = _descending(self.fixed)
 
-    def gains(self, cand: np.ndarray) -> np.ndarray:
+    def _gains(self, cand: np.ndarray) -> np.ndarray:
         return self.fixed[cand]
+
+    gains = _gains
+
+    def pick(self, min_dist, floor, pos):
+        pos = _walk(self.order, min_dist, floor, pos)
+        if pos == self.order.size:
+            return None
+        t = self.order.item(pos)
+        return t, self.fixed.item(t), pos, None
 
 
 @dataclass(frozen=True)

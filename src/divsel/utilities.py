@@ -10,7 +10,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import UtilityOracle, _BOOLS, _GainState, _budget, _float_array, _real, integral
+from .core import (UtilityOracle, _BOOLS, _GainState, _budget, _descending, _float_array, _real, _walk,
+                   integral)
 from .errors import InputError
 
 
@@ -136,6 +137,7 @@ class BudgetAdditiveUtility(UtilityOracle):
     the selection budget.  Sums are exact ints in units of 1 / ``_den``, a power of two that
     makes every weight (53-bit mantissa) an integer, so g takes the weights' ``math.fsum``.
     A unit is ``_mant << _sh``, from one ``np.frexp`` (a subnormal's mantissa shifted right).
+    ``_order`` holds the points by weight descending, then index, for the sweep's picks.
     """
 
     kind = "budget_additive"
@@ -152,8 +154,8 @@ class BudgetAdditiveUtility(UtilityOracle):
         w.setflags(write=False)
         super().__init__(w.size, monotone_declared=True, submodular_declared=True)
         self.weights = w
-        self.alpha = float(alpha)
-        self.beta = float(beta)
+        self.alpha = float(alpha) + 0.0  # -0.0 is stored as +0.0
+        self.beta = float(beta) + 0.0
         self.k = k
         mant, exp = np.frexp(w)
         den = min(53 - int(exp.min()), 1074)  # 2**1074 suits any float
@@ -161,6 +163,7 @@ class BudgetAdditiveUtility(UtilityOracle):
         self._mant, self._sh = (mant * 2.0**53).astype(np.int64) >> np.maximum(-sh, 0), np.maximum(sh, 0)
         for units in (self._mant, self._sh):
             units.setflags(write=False)
+        self._order = _descending(w)
 
     def _gain_state(self, base=()):
         return _BudgetGains(self, base)
@@ -168,8 +171,9 @@ class BudgetAdditiveUtility(UtilityOracle):
 
 class _BudgetGains(_GainState):
     """alpha * min((total + w_v) / k, beta) - g in place.  ``add`` sets total = units / _den,
-    avg = total / k, g and the regime once: capped (avg >= beta > 0: each gain is +0.0), free
-    ((w_max + total) / k < beta: no minimum) or straddling.  Rounding is monotone: same bits."""
+    avg = total / k, g and the regime once: capped (avg >= beta: each gain is +0.0), free
+    ((w_max + total) / k < beta: no minimum) or straddling.  Rounding is monotone: same bits.
+    So a free gain never falls as the weight rises, and ``pick`` walks ``_order``."""
 
     def __init__(self, utility: BudgetAdditiveUtility, base=()):
         b, self.utility = list(base), utility
@@ -182,7 +186,7 @@ class _BudgetGains(_GainState):
         u = self.utility  # int / int true division rounds correctly
         self.units, self.total = units, units / u._den
         avg = self.total / u.k
-        self.g, self.capped = u.alpha * min(avg, u.beta), avg >= u.beta > 0  # beta -0.0: -0.0 gains
+        self.g, self.capped = u.alpha * min(avg, u.beta), avg >= u.beta
         self.free = (u._w_max + self.total) / u.k < u.beta
 
     def _g(self):
@@ -198,6 +202,30 @@ class _BudgetGains(_GainState):
             np.minimum(gains, u.beta, out=gains)
         gains *= u.alpha
         return np.subtract(gains, self.g, out=gains)
+
+    def _gain(self, v):  # a free gain, with the bits of ``_gains``
+        u = self.utility
+        return u.alpha * ((u.weights.item(v) + self.total) / u.k) - self.g
+
+    def pick(self, min_dist, floor, pos):
+        """Capped, the lowest index; free, the first candidate on ``_order`` unless the next
+        one's gain equals its (a lower index may tie): then, or straddling, the default."""
+        if self.capped or self.free:
+            mask = min_dist >= floor
+            count = int(np.count_nonzero(mask))
+            if not count:
+                return None
+            if self.capped:
+                self.utility._queries.add(count)
+                return int(mask.argmax()), 0.0, pos, None
+            order = self.utility._order
+            pos = _walk(order, min_dist, floor, pos)
+            t = order.item(pos)
+            gain = self._gain(t)
+            if count == 1 or self._gain(order.item(_walk(order, min_dist, floor, pos + 1))) != gain:
+                self.utility._queries.add(count)
+                return t, gain, pos, None
+        return super().pick(min_dist, floor, pos)
 
 
 class MarginSimilarityUtility(UtilityOracle):

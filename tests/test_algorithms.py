@@ -416,7 +416,7 @@ def test_greedy_independent_set_reads_no_g(monkeypatch):
 
 
 def test_only_gain_states_count_queries(monkeypatch):
-    # every query is counted by a gain state's gains or value: never by a solver or a public entry
+    # every query is counted by a gain state's gains, pick or value: never by a solver or a public entry
     callers = []
     add = QueryCounter.add
 
@@ -440,4 +440,4 @@ def test_only_gain_states_count_queries(monkeypatch):
             utility.batch_marginal(range(n - 1), [n - 1])
     assert callers
     assert {(c, name) for c, name in callers
-            if not (issubclass(c, _GainState) and name in ("gains", "value"))} == set()
+            if not (issubclass(c, _GainState) and name in ("gains", "pick", "value"))} == set()

@@ -128,6 +128,23 @@ def test_solve_missing_and_malformed_files_are_parse_errors(tmp_path):
                    "--out", out) == 2
 
 
+def test_non_numeric_instance_data_is_a_parse_error(tmp_path):
+    # the instance loader refuses a string, boolean or null coordinate or distance
+    util, out = tmp_path / "util.json", tmp_path / "x.csv"
+    util.write_text(json.dumps({"kind": "constant_zero", "n": 3}))
+    inst = tmp_path / "inst.json"
+    for doc in ({"n": 3, "metric": "euclidean", "points": [["0.5"], [True], [2.0]]},
+                {"n": 3, "metric": "cosine", "points": [[None], [1.0], [2.0]]},
+                {"n": 3, "metric": "matrix",
+                 "matrix": [[0, "1", 1], ["1", 0, 1], [1, 1, 0]]},
+                {"n": 3, "metric": "matrix",
+                 "matrix": [[0, True, 1], [True, 0, 1], [1, 1, 0]]}):
+        inst.write_text(json.dumps(doc))
+        assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 2,
+                   "--out", out) == 2, doc
+    assert not out.exists()
+
+
 def test_non_integral_integers_are_rejected(tmp_path):
     # a utility class raises InputError (exit 3), a file loader FormatError (exit 2)
     inst = tmp_path / "inst.json"

@@ -50,6 +50,22 @@ def test_matrix_instance_validation_rejects_bad_matrices():
         Instance.from_matrix([[0.0, 1.0, 1.0], [1.0, 0.0]])  # ragged
 
 
+def test_instance_coordinates_and_distances_must_be_numbers():
+    # points and matrix entries follow the one rule of numbers: a string, boolean or None
+    # is no number, nor is an int beyond the float range; ints and numpy numbers are
+    for metric in ("euclidean", "cosine"):
+        for bad in ([["0.5"], [1.0], [2.0]], [[True], [1.0], [2.0]], [[None], [1.0], [2.0]],
+                    np.array([[True], [False]]), [[10**400], [1.0]]):
+            with pytest.raises(InputError, match="must be numbers"):
+                Instance(metric, points=bad)
+        assert Instance(metric, points=[[1], [np.int64(2)], [np.float32(3.0)]]).n == 3
+    for bad in ([[0.0, "1"], ["1", 0.0]], [[0.0, True], [True, 0.0]], [[0.0, None], [None, 0.0]],
+                np.array([[False, True], [True, False]])):
+        with pytest.raises(InputError, match="must be numbers"):
+            Instance.from_matrix(bad)
+    assert Instance.from_matrix([[0, 1], [np.int64(1), 0.0]]).d_max == 1.0
+
+
 def test_triangle_validation_is_opt_in():
     # 3 > 1 + 1 violates the triangle inequality
     bad = [[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]

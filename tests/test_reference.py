@@ -371,3 +371,50 @@ def test_kinds_outside_the_bound_never_skip(kind):
                             lam=problem.lam, k=problem.k, epsilon=0.2, schedule=problem.schedule)
             calls = gist(exact).oracle_calls
             assert calls == reference.gist_queries(exact) < reference.gist_queries_unpruned(exact), label
+
+
+def walk_utilities():
+    """Budget-additive and fixed-gain utilities over 15 points whose fixed-order picks must
+    fall back to the gain vector, or pick the lowest index, to keep their picks."""
+    n = 15
+    heavy = [1.0 - j * 2.0**-10 for j in range(10)]  # a running total near 10 after ten picks
+    ulp = heavy + [0.5, 0.5 + 2.0**-50, 0.5 + 2.0**-51, 0.5, 0.25]  # a lower index ties
+    tied = [(0.25, 0.5, 0.75)[v % 3] for v in range(n)]
+    spread = [(v * 7 % n) / n for v in range(n)]
+    signed = [(-0.0, 0.0, 0.5, 0.0, -0.0, 1.0)[v % 6] for v in range(n)]
+    return {
+        "below-one-ulp": BudgetAdditiveUtility(ulp, alpha=0.9, beta=1.0, k=40),
+        "tied-weights": BudgetAdditiveUtility(tied, alpha=0.9, beta=0.6, k=6),
+        "alpha-zero": BudgetAdditiveUtility(spread, alpha=0.0, beta=0.5, k=4),
+        "beta-zero": BudgetAdditiveUtility(spread, alpha=0.9, beta=0.0, k=4),
+        "signed-zero-parameters": BudgetAdditiveUtility(spread, alpha=-0.0, beta=-0.0, k=4),
+        "straddle-then-cap": BudgetAdditiveUtility(spread, alpha=0.95, beta=0.3, k=6),
+        "linear-signed-zeros": LinearUtility(signed),
+        "zero": ConstantZeroUtility(n),
+    }
+
+
+@pytest.mark.parametrize("side", [3, 6])
+def test_fixed_order_picks_match_literal_reference(side):
+    # gist (both schedules), simple_baseline and greedy_independent_set against the
+    # reference where a pick walks a fixed order of the points: gains equal within an ulp
+    # of the running total, equal weights, alpha or beta 0, a cap the candidates straddle
+    # and then reach, +-0.0 linear weights and the zero utility; on a grid of side 3 or 6,
+    # with duplicate points and few distinct distances, so exhaustive schedules stay short
+    inst = Instance.from_euclidean(np.random.default_rng(77).integers(0, side, (15, 2)))
+    for name, util in walk_utilities().items():
+        for k, lam in ((4, 0.5), (13, 0.0)):
+            for schedule in ("geometric", "exhaustive"):
+                problem = Problem(inst, util, lam=lam, k=k, epsilon=0.2, schedule=schedule)
+                label = (side, name, k, lam, schedule)
+                sol = gist(problem)
+                assert hexed(outcome(sol)) == hexed(reference.gist(problem)), label
+                assert sol.oracle_calls == reference.gist_queries(problem), label
+            sol = simple_baseline(problem)
+            greedy_queries = reference.greedy(problem, 0.0)[1]
+            assert hexed(outcome(sol)) == hexed(reference.simple_baseline(problem)), label
+            assert sol.oracle_calls == greedy_queries + 1 + (k >= 2), label
+            for d in [0.0] + distance_thresholds(problem)[::7]:
+                expected, queries = reference.greedy(problem, d)
+                got, calls = counted(util, lambda: greedy_independent_set(inst, util, d, k))
+                assert (got, calls) == (expected, queries), (label, d)

@@ -78,6 +78,17 @@ def test_budget_additive_bounds():
         assert 0.0 <= value <= util.alpha * util.beta
 
 
+def test_budget_additive_signed_zero_parameters_are_positive_zero():
+    # alpha or beta given as -0.0 is stored as +0.0, so no gain or value takes a zero's sign
+    # from a parameter: each is +0.0 where alpha = beta = +0.0 gives +0.0
+    for alpha, beta in ((0.95, -0.0), (-0.0, 0.5), (-0.0, -0.0)):
+        util = BudgetAdditiveUtility([0.5, 0.25, 0.0], alpha=alpha, beta=beta, k=2)
+        assert (util.alpha.hex(), util.beta.hex()) == ((alpha + 0.0).hex(), (beta + 0.0).hex())
+        gains = util.batch_marginal([0, 1, 2], [])
+        assert [x.hex() for x in gains.tolist()] == ["0x0.0p+0"] * 3, (alpha, beta)
+        assert util.evaluate([0]).hex() == util.evaluate([0, 2]).hex() == "0x0.0p+0", (alpha, beta)
+
+
 def test_linear_marginal_independent_of_base_set():
     rng = np.random.default_rng(2)
     util = random_linear_utility(rng, 9)
@@ -284,8 +295,10 @@ def test_gain_state_copy_grows_apart_from_its_original(kind):
 
 
 def test_every_gain_state_counts_one_query_per_value_and_per_candidate():
-    # value() counts one query and gains(cand) cand.size, on each kind's state; a _FixedGains
-    # counts every point's gain once, when built, and no gain afterwards
+    # value() counts one query, gains(cand) cand.size and pick one per candidate of its step
+    # (min_dist >= floor; a selected point carries -1), on each kind's state; a _FixedGains
+    # counts every point's gain once, when built, and no gain or pick afterwards.  The pick
+    # is the argmax of the candidates' gains, ties to the lowest index
     rng = np.random.default_rng(23)
     for n in (1, 2, 7):
         for kind, util in every_kind(rng, n, 3).items():
@@ -294,14 +307,28 @@ def test_every_gain_state_counts_one_query_per_value_and_per_candidate():
                 state = _FixedGains(util) if fixed else util._gain_state()
                 assert util.query_count - before == (n if fixed else 0), kind
                 order = [int(v) for v in rng.permutation(n)]
+                min_dist = rng.uniform(0.0, 2.0, n)
                 for i, v in enumerate(order):
                     rest = np.array(order[i:], dtype=np.intp)
                     before = util.query_count
-                    state.gains(rest)
+                    gains = state.gains(rest)
                     assert util.query_count - before == (0 if fixed else rest.size), (kind, fixed)
                     state.value()
                     assert util.query_count - before == (1 if fixed else rest.size + 1), (kind, fixed)
+                    floor = float(np.sort(min_dist[rest])[rest.size // 2])  # half the rest, or more
+                    cand = np.flatnonzero(min_dist >= floor)
+                    before = util.query_count
+                    t, gain, _, picked = state.pick(min_dist, floor, 0)
+                    assert util.query_count - before == (0 if fixed else cand.size), (kind, fixed)
+                    assert type(util.query_count) is int, kind  # no numpy integer
+                    expected = gains[np.argsort(rest)][np.isin(np.sort(rest), cand)]
+                    top = expected.argmax()
+                    assert (t, gain.hex()) == (int(cand[top]), expected[top].hex()), kind
+                    if picked is not None:  # the candidates' gain vector, as gains gives it
+                        assert picked.tobytes() == expected.tobytes(), kind
                     state.add(v)
+                    min_dist[v] = -1.0
+                assert state.pick(min_dist, 0.0, 0) is None, kind
 
 
 @pytest.mark.parametrize("make", [random_coverage_utility, sparse_coverage_utility])
