@@ -174,7 +174,14 @@ def load_utility(path: str | Path, bind_k: int | None = None) -> UtilityOracle:
 
 
 def load_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a JSON-lines embeddings file; returns (embeddings, uncertainty)."""
+    """Read a JSON-lines embeddings file; returns (embeddings, uncertainty).
+
+    orjson rounds as ``json`` does; a line it refuses (NaN, Infinity, numbers
+    beyond float range, lone surrogates, bad syntax) is read by ``json``, so
+    every file loads or fails as with ``json`` alone: NaN and Infinity still
+    reach the finiteness checks (exit 3) and malformed lines still exit 2.
+    Other loaders keep ``json``: orjson reads integers beyond 64 bits as floats."""
+    import orjson  # imported by the first ingest, not by ``import divsel``
     vectors: list[list[float]] = []
     scores: list[float] = []
     dim: int | None = None
@@ -184,7 +191,10 @@ def load_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
+                try:
+                    rec = orjson.loads(line)
+                except orjson.JSONDecodeError:
+                    rec = json.loads(line)
                 vec, score = rec["embedding"], rec["uncertainty"]
                 if not isinstance(vec, list):
                     raise FormatError(f"{path}:{lineno}: embedding must be a JSON array")

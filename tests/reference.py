@@ -1,8 +1,8 @@
 """Literal reference for GIST, the simple baseline, the classic greedy and the
 random baseline, read off the paper's pseudo-code with no shared runs,
-batching or caching; for the exact solvers, a list of every subset; and for
+batching or caching; for the exact solvers, a list of every subset; for
 the dense matrices and the diameter, built with full-size temporaries and a
-sort.
+sort; and for the embeddings file, a reader that parses with ``json`` alone.
 
 Every threshold gets its own greedy run, every candidate is evaluated, and a
 later candidate replaces an equal one.  Gains come from the public single
@@ -14,7 +14,9 @@ asked once per point in all.  Slow by design: only for small test problems.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from divsel import (
     distance_thresholds,
 )
 from divsel.core import VALUE_RTOL
+from divsel.errors import FormatError
 
 
 def cosine_distance_matrix(points) -> np.ndarray:
@@ -319,3 +322,42 @@ def brute_force_constrained(problem: Problem, d: float) -> tuple:
     if not values:
         return None, (), len(every), False
     return *best_subset(values), len(every), True
+
+
+def load_embeddings_json(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a JSON-lines embeddings file; returns (embeddings, uncertainty)."""
+    vectors: list[list[float]] = []
+    scores: list[float] = []
+    dim: int | None = None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                rec = json.loads(line)
+                vec, score = rec["embedding"], rec["uncertainty"]
+                if not isinstance(vec, list):
+                    raise FormatError(f"{path}:{lineno}: embedding must be a JSON array")
+                # exact types, so a JSON string or boolean (bool subclasses int) is no number
+                if not set(map(type, vec)) | {type(score)} <= {int, float}:
+                    raise FormatError(
+                        f"{path}:{lineno}: embedding and uncertainty must be JSON numbers")
+                if dim is None:
+                    dim = len(vec)
+                elif len(vec) != dim:
+                    raise FormatError(
+                        f"{path}:{lineno}: embedding dimension {len(vec)} != {dim}"
+                    )
+                vectors.append(vec)
+                scores.append(score)
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        if isinstance(exc, FormatError):
+            raise
+        raise FormatError(f"cannot parse embeddings file {path}: {exc}") from exc
+    if not vectors:
+        raise FormatError(f"{path}: no embedding records found")
+    try:
+        return np.asarray(vectors, dtype=np.float64), np.asarray(scores, dtype=np.float64)
+    except OverflowError as exc:  # an integer beyond float range
+        raise FormatError(f"cannot parse embeddings file {path}: {exc}") from exc

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import reference
 from divsel import (
     BudgetAdditiveUtility,
     ConstantZeroUtility,
@@ -12,6 +16,7 @@ from divsel import (
     LinearUtility,
     MarginSimilarityUtility,
 )
+from divsel.cli import main
 from divsel.formats import (
     load_edge_pairs,
     load_embeddings,
@@ -186,3 +191,93 @@ def test_loaders_reject_non_integral_integers(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError):
             load(path)
+
+
+def assert_loads_like_json(path):
+    """``load_embeddings`` returns the bytes of the ``json``-only reader."""
+    got, want = load_embeddings(path), reference.load_embeddings_json(path)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+# subnormals, signed zeros, the smallest normal and the largest double
+EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, sys.float_info.min,
+            sys.float_info.max, -sys.float_info.max]
+
+
+def test_embeddings_parse_finite_doubles_as_json_does(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, strategies as st
+
+    path = tmp_path / "emb.jsonl"
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=24))
+    def check(values):
+        values = values + EXTREMES
+        with open(path, "w") as fh:
+            for form in ("{!r}".format, "{:.17g}".format, "{:.20e}".format):
+                numbers = [form(x) for x in values]
+                fh.write(f'{{"embedding": [{", ".join(numbers)}], "uncertainty": {numbers[0]}}}\n')
+        assert_loads_like_json(path)
+
+    check()
+
+
+def test_embeddings_parse_wide_integers_as_json_does(tmp_path):
+    # beyond 64 bits orjson reads an integer as a float; np.asarray rounds json's int
+    # the same way, ties to even included (2**64 + 2**11 is halfway between doubles)
+    wide = [2**64, 2**64 + 1, 2**64 + 2**11, 2**64 + 3 * 2**11, 2**64 + 2**11 + 1,
+            2**64 - 1, 2**63, -2**63 - 1, -(2**64 + 2**11), 10**30, 2**1024 - 2**970 - 1]
+    path = tmp_path / "emb.jsonl"
+    path.write_text("".join(f'{{"embedding": [{w}, -0, 1], "uncertainty": {abs(w)}}}\n'
+                            for w in wide))
+    assert_loads_like_json(path)
+
+
+def test_embeddings_parse_an_ingest_sized_file_as_json_does(tmp_path):
+    rng = np.random.default_rng(7)
+    vectors = rng.standard_normal((1500, 64))
+    vectors /= np.linalg.norm(vectors, axis=1)[:, None]
+    path = tmp_path / "emb.jsonl"
+    with open(path, "w") as fh:
+        for vec, unc in zip(vectors.tolist(), rng.uniform(0.0, 2.0, 1500).tolist()):
+            fh.write(json.dumps({"embedding": vec, "uncertainty": unc}) + "\n")
+    assert_loads_like_json(path)
+
+
+PARSE = "error: cannot parse embeddings file {path}: "
+
+
+@pytest.mark.parametrize("line, code, last", [
+    pytest.param('{"embedding": [NaN, 1.0], "uncertainty": 0.5}', 3,
+                 "error: points must be finite", id="nan"),
+    pytest.param('{"embedding": [Infinity, 1.0], "uncertainty": 0.5}', 3,
+                 "error: points must be finite", id="infinity"),
+    pytest.param('{"embedding": [1.0, 0.0], "uncertainty": -Infinity}', 3,
+                 "error: weights must be finite and nonnegative", id="negative-infinity"),
+    pytest.param('{"embedding": [1e400, 1.0], "uncertainty": 0.5}', 3,
+                 "error: points must be finite", id="beyond-float-range"),
+    pytest.param('{"embedding": [%s, 1.0], "uncertainty": 0.5}' % ("1" * 401), 2,
+                 PARSE + "int too large to convert to float", id="401-digit-integer"),
+    pytest.param('{"embedding": [%d, 1.0], "uncertainty": 0.5}' % (2**64 + 1), 0,
+                 "warning: normalizing embeddings to unit length (max deviation 1.845e+19)",
+                 id="65-bit-integer"),
+    pytest.param('{"embedding": [1.0, 0.0], "uncertainty": 0.5, "id": "\\ud800"}', 0, None,
+                 id="lone-surrogate"),
+    pytest.param('\ufeff{"embedding": [1.0, 0.0], "uncertainty": 0.5}', 2,
+                 PARSE + "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+                 id="byte-order-mark"),
+    pytest.param('{"embedding": [1.0, 0.0,], "uncertainty": 0.5}', 2,
+                 PARSE + "Expecting value: line 1 column 25 (char 24)", id="trailing-comma"),
+])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")  # inf/inf
+def test_ingest_answers_lines_orjson_refuses_as_json_does(tmp_path, line, code, last, first):
+    path = tmp_path / "emb.jsonl"
+    good = '{"embedding": [0.6, 0.8], "uncertainty": 0.5}'
+    path.write_text("\n".join([line, good] if first else [good, line]) + "\n", encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        got = main(["ingest", "--embeddings", str(path), "--k", "1",
+                    "--out", str(tmp_path / "sel.json")])
+    lines = err.getvalue().splitlines()
+    assert (got, lines[-1] if lines else None) == (code, last and last.format(path=path))

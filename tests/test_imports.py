@@ -1,6 +1,7 @@
 """Import hygiene: scipy is loaded only by the first Euclidean distance
-matrix.  Each check runs in a fresh isolated interpreter, since this test
-process has long imported scipy."""
+matrix, and orjson only by the first embeddings file read.  Each check runs
+in a fresh isolated interpreter, since this test process has long imported
+both."""
 
 import json
 import subprocess
@@ -22,20 +23,23 @@ def run_fresh(code: str, *args) -> str:
     return done.stdout.splitlines()[-1]
 
 
-def test_import_and_cosine_ingest_leave_scipy_unloaded(tmp_path):
+def test_import_loads_no_scipy_or_orjson_and_cosine_ingest_only_orjson(tmp_path):
     emb = tmp_path / "emb.jsonl"
     emb.write_text("".join(json.dumps({"embedding": [float(i), 1.0, -2.0], "uncertainty": 0.5})
                            + "\n" for i in range(12)))
     code = """
+def loaded():
+    return ['scipy' in sys.modules, 'orjson' in sys.modules]
 import divsel
-seen = ['scipy' in sys.modules]
+seen = [loaded()]
 import divsel.cli
-seen.append('scipy' in sys.modules)
+seen.append(loaded())
 code = divsel.cli.main(['ingest', '--embeddings', sys.argv[1], '--k', '3', '--out', sys.argv[2]])
-seen.append('scipy' in sys.modules)
+seen.append(loaded())
 print(code, seen)
 """
-    assert run_fresh(code, emb, tmp_path / "sel.json") == "0 [False, False, False]"
+    assert (run_fresh(code, emb, tmp_path / "sel.json")
+            == "0 [[False, False], [False, False], [False, True]]")
     assert len(json.loads((tmp_path / "sel.json").read_text())["selected"]) <= 3
 
 
