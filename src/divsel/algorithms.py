@@ -29,17 +29,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .core import (VALUE_RTOL, Instance, Problem, Solution, UtilityOracle, _FixedGains, _GainState,
-                   _run_args, _thresholds, integral)
+from .core import (VALUE_RTOL, Instance, Problem, Solution, UtilityOracle, _GainState, _run_args,
+                   _thresholds, integral)
 from .errors import InputError
-from .utilities import BudgetAdditiveUtility, ConstantZeroUtility, CoverageUtility, LinearUtility
 
 #: An offer: selection, reported threshold (0.0 at d = 0, None otherwise), (f, g, div).
 _Candidate = tuple[Iterable[int], float | None, tuple[float, float, float]]
-
-#: Exact kinds monotone and submodular by construction, with gains computed >= 0 (a subclass
-#: may change its gains; a TabulatedUtility may declare either property falsely).
-_BOUNDED = (LinearUtility, ConstantZeroUtility, CoverageUtility, BudgetAdditiveUtility)
 
 
 def _threshold_tree(
@@ -57,18 +52,16 @@ def _threshold_tree(
     still has, in a branch, or its run ends at S.  A step that peels such branches
     reads its candidates' gain vector from the pick, or uncounted (``_gains``) when
     the pick built none: the pick counted them.  Each path carries its own gain
-    state and walk position: the root builds a state (for an exact linear or
-    constant-zero utility, not a subclass, a :class:`_FixedGains`, which asks each
-    point's gain once and shares them with its copies); a branch copies the state
-    at S, adds its pick when popped, and starts at its parent's position.  Yields
-    ``(selection in order, lo, hi, run_div, state)`` by ascending ``lo``,
-    ``run_div`` being the selection's minimum distance (+inf below two points) and
-    ``state`` the run's gain state, at the selection; its ``value()`` is the run's
-    g, counted when read.  A step reads dist(t, S) once, and searches
+    state and walk position: the root's is the kind's ``_sweep_state()``; a branch
+    copies the state at S, adds its pick when popped, and starts at its parent's
+    position.  Yields ``(selection in order, lo, hi, run_div, state)`` by ascending
+    ``lo``, ``run_div`` being the selection's minimum distance (+inf below two
+    points) and ``state`` the run's gain state, at the selection; its ``value()``
+    is the run's g, counted when read.  A step reads dist(t, S) once, and searches
     ``thresholds`` only when it lies below ``thresholds[hi]``.
 
-    For a kind of :data:`_BOUNDED`, a path at prefix S with candidates C only
-    has runs of f <= g(S) + (the k - |S| largest gains at S over C) + ``lam`` *
+    For a ``_bounded`` kind, a path at prefix S with candidates C only has runs
+    of f <= g(S) + (the k - |S| largest gains at S over C) + ``lam`` *
     min(d_max, run_div), g(S) summed from the picks' gains.  It is dropped when
     that plus ``VALUE_RTOL`` * |bound| is below ``best[0]``, the largest f
     offered so far: a branch by its parent's gains, a step by the cap with
@@ -78,10 +71,9 @@ def _threshold_tree(
     # position, run_div, g(S), its own gain state, None or a branch's (g, pick's gain, its gains)
     # at its parent)
     n, rows, cut, d_max = instance.n, instance.distance_matrix(), thresholds.searchsorted, instance.d_max
-    fixed = type(utility) in (LinearUtility, ConstantZeroUtility)  # gains that do not depend on S
-    root = _FixedGains(utility) if fixed else utility._gain_state()
+    root = utility._sweep_state()
     paths = [([], 0, len(thresholds) - 1, np.full(n, np.inf), 0, math.inf, 0.0, root, None)]
-    bounded = type(utility) in _BOUNDED
+    bounded = utility._bounded
     while paths:
         sel, lo, hi, min_dist, pos, run_div, g, state, parent = paths.pop()
         limit = best[0] if bounded and best[0] > -math.inf else None  # None: nothing to skip
@@ -144,8 +136,8 @@ def greedy_independent_set(
     selected so far, until ``k`` points or no candidate remains (then a maximal
     independent set of the distance-< d intersection graph).  Returns indices
     in selection order; the one-threshold case of the sweep :func:`gist` runs.
-    It counts one query per candidate scored at each step, or n in all for an
-    exact linear or constant-zero utility, whose gains never change.  Raises
+    It counts one query per candidate scored at each step, or n in all for a
+    ``_fixed`` kind (linear, constant zero), whose gains never change.  Raises
     :class:`InputError` unless both arguments are over the same points, ``d``
     is a nonnegative number and ``k`` an integer >= 1 (3.0 passes; 2.5, NaN
     and booleans do not); a ``k`` above n selects at most n points.
@@ -231,10 +223,10 @@ def gist(problem: Problem) -> Solution:
     Candidates, in order: the d = 0 greedy (plain utility greedy), a
     diametrical pair when k >= 2, and one greedy independent set per distinct
     run over the schedule, from a sweep that asks the gains at a prefix the
-    runs share once (an exact linear or constant-zero utility's only once per
-    point, for the whole sweep).  Each is evaluated once; a later candidate
-    replaces an equal one; runs whose bound lies below a candidate already
-    offered are skipped, unasked (see :func:`_threshold_tree`).  The reported
+    runs share once (a ``_fixed`` kind's only once per point, for the whole
+    sweep).  Each is evaluated once; a later candidate replaces an equal one;
+    runs whose bound lies below a candidate already offered are skipped,
+    unasked (see :func:`_threshold_tree`).  The reported
     ``winning_threshold`` is 0.0 for the greedy pass, ``None`` for the
     diametrical pair, and otherwise the winning run's largest.
     """

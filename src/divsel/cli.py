@@ -247,7 +247,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _guarantee_threshold(name: str, problem: Problem) -> float | None:
     """Proven lower bound on the approximation ratio, where one exists."""
     util = problem.utility
-    linear = util.kind in ("linear", "constant_zero")
+    linear = util._fixed  # a modular g
     monotone_submodular = util.monotone_declared and util.submodular_declared
     if name == "gist":
         if linear:
@@ -313,6 +313,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     embeddings, uncertainty = formats.load_embeddings(args.embeddings)
+    if not np.isfinite(embeddings).all():  # before the norm, which would warn on them
+        raise InputError("points must be finite")
     norms = np.linalg.norm(embeddings, axis=1)
     if (norms == 0).any():
         raise InputError("embeddings must be nonzero vectors")

@@ -351,10 +351,14 @@ class UtilityOracle:
     gain (single or batched, one per candidate) counts as one value-oracle
     query, matching the usual oracle-complexity model in which ``g(S)`` is
     already known when a marginal ``g(S + v) - g(S)`` is requested.  Only a
-    :class:`_GainState` counts.  Solvers ask an exact :class:`LinearUtility` or
-    :class:`ConstantZeroUtility` (not a subclass) for each point's gain once
-    per sweep (:class:`_FixedGains`), since it never changes.  ``gist`` asks
-    nothing for the runs its sweep skips as unable to win.
+    :class:`_GainState` counts.  ``gist`` asks nothing for the runs its sweep
+    skips as unable to win.
+
+    A kind states its capabilities, which a subclass reads as False unless it
+    states them again: ``_fixed``, gains that never change with the selection
+    (the sweep's root state, :meth:`_sweep_state`, asks each point's once and
+    walks a fixed order), and ``_bounded``, monotone and submodular by
+    construction with gains >= 0 (the sweep may skip runs by their bound).
 
     A kind plugs in one of two ways, through hooks that count no queries:
 
@@ -364,11 +368,8 @@ class UtilityOracle:
       gain must not depend on the rest of the batch, bit for bit: the sweep
       scores a superset of some runs' candidates.
     * its own ``_gain_state(base)``, where state kept across a growing selection
-      pays (coverage, budget-additive): a :class:`_GainState` with ``_gains``, ``add`` and ``_g``.
-
-    A sweep step asks its state for ``pick``, which counts one query per candidate: by default
-    the argmax of ``gains``; :class:`_FixedGains` and budget-additive below the cap walk a
-    fixed order of the points instead.
+      pays (the additive kinds, coverage): a :class:`_GainState` with ``_gains``,
+      ``add`` and ``_g``, and optionally its own ``pick``.
 
     ``evaluate``, ``marginal`` (``batch_marginal`` of one candidate) and
     ``batch_marginal`` build a state at their base set, as the solvers do.
@@ -376,6 +377,12 @@ class UtilityOracle:
     """
 
     kind: str = "abstract"
+    _fixed = _bounded = False
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for capability in ("_fixed", "_bounded"):  # stated by the class itself, or False
+            setattr(cls, capability, vars(cls).get(capability, False))
 
     def __init__(self, n: int, *, monotone_declared: bool, submodular_declared: bool):
         self.n = integral(n, "utility ground set size")
@@ -413,6 +420,9 @@ class UtilityOracle:
     def _gain_state(self, base: Iterable[int] = ()) -> "_GainState":
         return _GainState(self, base)
 
+    def _sweep_state(self) -> "_GainState":  # the sweep's root, at the empty set
+        return self._gain_state()
+
     # -- kind-specific internals (no query accounting) -----------------------
 
     def _value(self, s: tuple[int, ...]) -> float:
@@ -431,8 +441,8 @@ class _GainState:
     uncounted ``_gains`` and ``_g``; ``add`` grows it; ``copy`` shares only read-only arrays
     with it (this one copies each writable numpy array attribute).  This default asks
     ``_batch_marginal`` and ``_value`` on the sorted ``s``, and picks by the argmax of
-    ``gains``; a kind with its own state overrides ``_gains``, ``add`` and ``_g``, and may
-    override ``pick``."""
+    ``gains``; a kind's own state (coverage; the additive kinds' exact sum, whatever the
+    order) overrides ``_gains``, ``add`` and ``_g``, and may override ``pick``."""
 
     def __init__(self, utility: UtilityOracle, base: Iterable[int] = ()):
         self.utility, self.s = utility, tuple(sorted(base))
@@ -472,49 +482,6 @@ class _GainState:
         new.__dict__ = {a: v.copy() if isinstance(v, np.ndarray) and v.flags.writeable else v
                         for a, v in vars(self).items()}
         return new
-
-
-def _descending(values: np.ndarray) -> np.ndarray:
-    """Positions by value descending, then position (-0.0 ties +0.0): compact, read-only."""
-    order = np.argsort(-values)  # a stable sort is about 4x slower: only for tied values
-    if (np.diff(values[order]) == 0).any():
-        order = np.argsort(-values, kind="stable")
-    order = order.astype(np.min_scalar_type(values.size))
-    order.setflags(write=False)
-    return order
-
-
-def _walk(order: np.ndarray, min_dist: np.ndarray, floor: float, pos: int) -> int:
-    """The first position from ``pos`` on of a point with ``min_dist >= floor``, or the end."""
-    while pos < order.size and min_dist.item(order.item(pos)) < floor:
-        pos += 1
-    return pos
-
-
-class _FixedGains(_GainState):
-    """The sweep's state for a kind whose gains never change with the selection (an exact
-    linear or zero utility): it asks and counts every point's gain once, when built at the
-    empty set, and serves them uncounted from one read-only array that its copies share.
-    Its ``pick`` counts nothing and walks ``order``, the points by gain descending, then
-    index: a point that stops being a candidate never becomes one again."""
-
-    def __init__(self, utility: UtilityOracle):
-        super().__init__(utility)
-        self.fixed = _GainState(utility).gains(np.arange(utility.n))
-        self.fixed.setflags(write=False)
-        self.order = _descending(self.fixed)
-
-    def _gains(self, cand: np.ndarray) -> np.ndarray:
-        return self.fixed[cand]
-
-    gains = _gains
-
-    def pick(self, min_dist, floor, pos):
-        pos = _walk(self.order, min_dist, floor, pos)
-        if pos == self.order.size:
-            return None
-        t = self.order.item(pos)
-        return t, self.fixed.item(t), pos, None
 
 
 @dataclass(frozen=True)

@@ -4,52 +4,119 @@ submodularity."""
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import (UtilityOracle, _BOOLS, _GainState, _budget, _descending, _float_array, _real, _walk,
-                   integral)
+from .core import UtilityOracle, _BOOLS, _GainState, _budget, _float_array, _real, integral
 from .errors import InputError
 
 
-class ConstantZeroUtility(UtilityOracle):
-    """g(S) = 0 for every S.  Used for diversity-only objectives."""
+class _Additive(UtilityOracle):
+    """A g of the selection's weight sum, weights finite and >= 0.  The sum is an exact int
+    of units of 1 / ``_den``, a power of two that makes every weight (53-bit mantissa) an
+    integer, so g reads the correctly rounded sum, ``math.fsum``, in any order.  A weight is
+    ``_mant << _sh`` units, from one ``np.frexp`` (a subnormal's mantissa shifted right).
+    ``_order`` holds the points by weight descending, then index, compact and read-only."""
 
-    kind = "constant_zero"
-
-    def __init__(self, n: int):
-        super().__init__(n, monotone_declared=True, submodular_declared=True)
-
-    def _value(self, s):
-        return 0.0
-
-    def _batch_marginal(self, cand, s):
-        return np.zeros(cand.size, dtype=np.float64)
-
-
-class LinearUtility(UtilityOracle):
-    """g(S) = sum of fixed nonnegative per-point weights."""
-
-    kind = "linear"
-
-    def __init__(self, weights: Sequence[float] | np.ndarray):
+    def __init__(self, weights: Sequence[float] | np.ndarray, message: str, top: float = math.inf):
         w = _float_array(weights, "weights")
         if w.ndim != 1 or w.size < 1:
             raise InputError("weights must be a nonempty 1-D array")
-        if not np.isfinite(w).all() or (w < 0).any():
-            raise InputError("weights must be finite and nonnegative")
+        if not np.isfinite(w).all() or (w < 0).any() or (w > top).any():
+            raise InputError(message)
         w.setflags(write=False)
         super().__init__(w.size, monotone_declared=True, submodular_declared=True)
         self.weights = w
+        mant, exp = np.frexp(w)
+        den = min(53 - int(exp.min()), 1074)  # 2**1074 suits any float
+        self._den, sh = 2 ** den, exp.astype(np.int64) + (den - 53)
+        self._mant, self._sh = (mant * 2.0**53).astype(np.int64) >> np.maximum(-sh, 0), np.maximum(sh, 0)
+        self._order = np.argsort(-w, kind="stable").astype(np.min_scalar_type(w.size))  # -0.0 ties +0.0
+        for a in (self._mant, self._sh, self._order):
+            a.setflags(write=False)
 
-    def _value(self, s):
-        return float(self.weights[list(s)].sum())
+    def _gain_state(self, base=()):
+        return _AdditiveGains(self, base)
 
-    def _batch_marginal(self, cand, s):
-        return self.weights[cand]
+    def _sweep_state(self):
+        return _FixedGains(self) if self._fixed else self._gain_state()
+
+
+class ConstantZeroUtility(_Additive):
+    """g(S) = 0 for every S: the additive kind with every weight 0.  Used for diversity-only
+    objectives.  Its weights and units are one read-only zero, broadcast to the n points."""
+
+    kind = "constant_zero"
+    _fixed = _bounded = True
+
+    def __init__(self, n: int):
+        UtilityOracle.__init__(self, n, monotone_declared=True, submodular_declared=True)
+        self.weights, self._den = np.broadcast_to(0.0, self.n), 1
+        self._mant = self._sh = np.broadcast_to(np.int64(0), self.n)
+
+    @functools.cached_property
+    def _order(self) -> np.ndarray:  # index order, built by the first walk: n may be any size
+        return np.arange(self.n)
+
+
+class LinearUtility(_Additive):
+    """g(S) = sum of fixed nonnegative per-point weights."""
+
+    kind = "linear"
+    _fixed = _bounded = True
+
+    def __init__(self, weights: Sequence[float] | np.ndarray):
+        super().__init__(weights, "weights must be finite and nonnegative")
+
+
+class _AdditiveGains(_GainState):
+    """The selection's weight sum as ``units``, one int add per ``add`` (``_set`` lets a kind
+    derive more from it): g = units / _den, correctly rounded (inf past the float range), and
+    each gain is the candidate's weight."""
+
+    def __init__(self, utility: _Additive, base=()):
+        b, self.utility = list(base), utility
+        self._set(sum(map(int.__lshift__, utility._mant[b].tolist(), utility._sh[b].tolist())))
+
+    def add(self, v):
+        self._set(self.units + (self.utility._mant.item(v) << self.utility._sh.item(v)))
+
+    def _set(self, units):
+        self.units = units
+
+    def _g(self):
+        try:  # int / int true division rounds correctly
+            return self.units / self.utility._den
+        except OverflowError:
+            return math.inf
+
+    def _gains(self, cand):
+        return self.utility.weights[cand]
+
+
+class _FixedGains(_AdditiveGains):
+    """The sweep's root state for a ``_fixed`` kind: it counts every point's gain once, through
+    the counted ``gains``, then serves the weights uncounted.  Its ``pick`` counts nothing and
+    walks ``_order``: a point that stops being a candidate never becomes one again."""
+
+    def __init__(self, utility: _Additive):
+        super().__init__(utility)
+        super().gains(np.arange(utility.n))
+
+    gains = _AdditiveGains._gains
+
+    def pick(self, min_dist, floor, pos):
+        order = self.utility._order
+        pos = _walk(order, min_dist, floor, pos)
+        if pos == order.size:
+            return None
+        t = order.item(pos)
+        return t, self.utility.weights.item(t), pos, None
 
 
 class CoverageUtility(UtilityOracle):
@@ -57,6 +124,7 @@ class CoverageUtility(UtilityOracle):
     CSR arrays it derives ``_el_len``, points per element, and ``_counts``, elements per point."""
 
     kind = "coverage"
+    _bounded = True
 
     def __init__(self, family: Sequence[Iterable[int]], universe_size: int | None = None):
         family = [list(f) for f in family]
@@ -131,59 +199,35 @@ class _CoverageGains(_GainState):
                 self.gain -= np.bincount(u._el_pts[rows], minlength=u.n)
 
 
-class BudgetAdditiveUtility(UtilityOracle):
+class BudgetAdditiveUtility(_Additive):
     """g(S) = alpha * min(sum of weights / k, beta), a capped average of weights in [0, 1];
     monotone and submodular, bounded by alpha * beta.  ``k`` is the cap's normalizer, usually
-    the selection budget.  Sums are exact ints in units of 1 / ``_den``, a power of two that
-    makes every weight (53-bit mantissa) an integer, so g takes the weights' ``math.fsum``.
-    A unit is ``_mant << _sh``, from one ``np.frexp`` (a subnormal's mantissa shifted right).
-    ``_order`` holds the points by weight descending, then index, for the sweep's picks.
-    """
+    the selection budget.  The sum is the additive kinds' exact one."""
 
     kind = "budget_additive"
+    _bounded = True
 
     def __init__(self, weights: Sequence[float] | np.ndarray, alpha: float, beta: float, k: int):
-        w = _float_array(weights, "weights")
-        if w.ndim != 1 or w.size < 1:
-            raise InputError("weights must be a nonempty 1-D array")
-        if not np.isfinite(w).all() or (w < 0).any() or (w > 1).any():
-            raise InputError("budget-additive weights must lie in [0, 1]")
+        super().__init__(weights, "budget-additive weights must lie in [0, 1]", 1.0)
         if not (_real(alpha) and _real(beta) and 0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
             raise InputError(f"alpha {alpha!r} and beta {beta!r} must be numbers in [0, 1]")
-        k = _budget(k, "cap normalizer k")
-        w.setflags(write=False)
-        super().__init__(w.size, monotone_declared=True, submodular_declared=True)
-        self.weights = w
         self.alpha = float(alpha) + 0.0  # -0.0 is stored as +0.0
         self.beta = float(beta) + 0.0
-        self.k = k
-        mant, exp = np.frexp(w)
-        den = min(53 - int(exp.min()), 1074)  # 2**1074 suits any float
-        self._den, self._w_max, sh = 2 ** den, float(w.max()), exp.astype(np.int64) + (den - 53)
-        self._mant, self._sh = (mant * 2.0**53).astype(np.int64) >> np.maximum(-sh, 0), np.maximum(sh, 0)
-        for units in (self._mant, self._sh):
-            units.setflags(write=False)
-        self._order = _descending(w)
+        self.k = _budget(k, "cap normalizer k")
+        self._w_max = float(self.weights.max())
 
     def _gain_state(self, base=()):
         return _BudgetGains(self, base)
 
 
-class _BudgetGains(_GainState):
-    """alpha * min((total + w_v) / k, beta) - g in place.  ``add`` sets total = units / _den,
+class _BudgetGains(_AdditiveGains):
+    """alpha * min((total + w_v) / k, beta) - g in place.  ``_set`` sets total = units / _den,
     avg = total / k, g and the regime once: capped (avg >= beta: each gain is +0.0), free
     ((w_max + total) / k < beta: no minimum) or straddling.  Rounding is monotone: same bits.
     So a free gain never falls as the weight rises, and ``pick`` walks ``_order``."""
 
-    def __init__(self, utility: BudgetAdditiveUtility, base=()):
-        b, self.utility = list(base), utility
-        self._set(sum(map(int.__lshift__, utility._mant[b].tolist(), utility._sh[b].tolist())))
-
-    def add(self, v):
-        self._set(self.units + (self.utility._mant.item(v) << self.utility._sh.item(v)))
-
     def _set(self, units):
-        u = self.utility  # int / int true division rounds correctly
+        u = self.utility  # weights in [0, 1]: the division stays in range
         self.units, self.total = units, units / u._den
         avg = self.total / u.k
         self.g, self.capped = u.alpha * min(avg, u.beta), avg >= u.beta
@@ -226,6 +270,13 @@ class _BudgetGains(_GainState):
                 self.utility._queries.add(count)
                 return t, gain, pos, None
         return super().pick(min_dist, floor, pos)
+
+
+def _walk(order: np.ndarray, min_dist: np.ndarray, floor: float, pos: int) -> int:
+    """The first position from ``pos`` on of a point with ``min_dist >= floor``, or the end."""
+    while pos < order.size and min_dist.item(order.item(pos)) < floor:
+        pos += 1
+    return pos
 
 
 class MarginSimilarityUtility(UtilityOracle):

@@ -380,6 +380,20 @@ def test_the_exhaustive_schedule_is_built_once_per_instance(monkeypatch):
     assert swept.tolist() == [0.0] + thresholds
 
 
+def test_chain_solvers_report_the_exact_linear_sum():
+    # classic_greedy and random_baseline read g from the state that grew their chain: on a
+    # linear utility it is evaluate(selected) and the weights' math.fsum, bit for bit
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        n = int(rng.integers(2, 16))
+        w = rng.uniform(0.0, 1.0, n) ** rng.integers(1, 30, n)  # many binades
+        util = LinearUtility(w)
+        problem = Problem(random_metric_instance(rng, n, "euclidean"), util, lam=0.0, k=n)
+        for sol in (classic_greedy(problem), random_baseline(problem, seed=int(rng.integers(100)))):
+            expected = math.fsum(w[list(sol.selected)].tolist()).hex()
+            assert sol.g_value.hex() == util.evaluate(sol.selected).hex() == expected, sol
+
+
 def test_gist_builds_one_sweep_state_and_the_pairs(monkeypatch):
     # every sweep path carries its own state, a branch a copy of its parent's: one gist
     # call builds the root's state and, for its g, the diametrical pair's, and no other
@@ -394,7 +408,7 @@ def test_gist_builds_one_sweep_state_and_the_pairs(monkeypatch):
             built.append(tuple(base))
             init(self, utility, base)
 
-        # on the class itself, not a subclass, which _BOUNDED's exact type check would not skip
+        # on the class itself: a subclass would not read the kind's _bounded
         monkeypatch.setattr(state_class, "__init__", counted_init)
         for schedule in ("geometric", "exhaustive"):
             built.clear()

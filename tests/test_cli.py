@@ -315,6 +315,13 @@ def test_verify_guarantee_thresholds():
     assert _guarantee_threshold("greedy", coverage) is None
     assert _guarantee_threshold("random", linear) is None
 
+    class SubclassedLinear(LinearUtility):
+        """States no capability, so its guarantee is the monotone submodular one."""
+
+    subclassed = problem_for(SubclassedLinear([1.0, 2.0, 3.0]))
+    assert _guarantee_threshold("gist", subclassed) == pytest.approx(0.5 - 0.1)
+    assert _guarantee_threshold("gist-exhaustive", subclassed) is None
+
 
 def test_verify_size_guard(tmp_path):
     inst = tmp_path / "inst.json"

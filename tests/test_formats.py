@@ -270,7 +270,6 @@ PARSE = "error: cannot parse embeddings file {path}: "
                  PARSE + "Expecting value: line 1 column 25 (char 24)", id="trailing-comma"),
 ])
 @pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
-@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")  # inf/inf
 def test_ingest_answers_lines_orjson_refuses_as_json_does(tmp_path, line, code, last, first):
     path = tmp_path / "emb.jsonl"
     good = '{"embedding": [0.6, 0.8], "uncertainty": 0.5}'
@@ -281,3 +280,4 @@ def test_ingest_answers_lines_orjson_refuses_as_json_does(tmp_path, line, code, 
                     "--out", str(tmp_path / "sel.json")])
     lines = err.getvalue().splitlines()
     assert (got, lines[-1] if lines else None) == (code, last and last.format(path=path))
+    assert lines[:-1] == []  # no warning before a refusal

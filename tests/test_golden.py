@@ -10,10 +10,15 @@ report, each with the queries it made.
 A change meant to keep outputs bit for bit leaves both digests as they are; a
 change meant to alter an output records the new digest and says why.
 
+To see which records a change moves, run ``python tests/test_golden.py --dump
+FILE`` in each checkout and ``diff`` the files: one record per line, the text
+each digest hashes (floats as ``float.hex``), numbered within its digest.
+
 Matrix and Euclidean instances only: the cosine matrix goes through BLAS
 gemm, whose rounding may differ between builds.
 """
 
+import argparse
 import hashlib
 import math
 
@@ -37,8 +42,8 @@ from divsel import (
     simple_baseline,
 )
 
-GOLDEN = "fef997440de17a21eceab0af769d21f0067a770c36aab1c26a71482fd0292f11"
-GOLDEN_EXACT = "2960e0532f5639bf99a2849e1c0db8538569c7d603b6be3ac665d1d8647560d1"
+GOLDEN = "2bad52461c59fad0c8d34a1f8fb19cd1499d579c8fde5361a7a4ecc7cf978fb9"
+GOLDEN_EXACT = "d82993095b834194971740e76951826b3324ef3cba0852fe95943127c3e5b1a4"
 
 
 def instances(rng, n):
@@ -128,3 +133,17 @@ def test_golden_digest():
 
 def test_golden_exact_digest():
     assert digest(exact_records()) == GOLDEN_EXACT
+
+
+def dump(path):
+    """Write every record of both digests to ``path``, one per line."""
+    with open(path, "w") as fh:
+        for name, recs in (("golden", records()), ("exact", exact_records())):
+            for i, record in enumerate(recs):
+                fh.write(f"{name} {i} {record!r}\n")
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Dump the golden records for diffing.")
+    parser.add_argument("--dump", metavar="FILE", required=True)
+    dump(parser.parse_args().dump)

@@ -19,8 +19,7 @@ from divsel import (
     gen_nonsubmodular_example,
     objective,
 )
-from divsel.core import _FixedGains
-from divsel.utilities import _BudgetGains
+from divsel.utilities import _BudgetGains, _FixedGains
 from support import (
     every_kind,
     integer_cases,
@@ -283,8 +282,8 @@ def test_gain_state_copy_grows_apart_from_its_original(kind):
         for v in base:
             state.add(v)
         twin = state.copy()
-        if kind == "fixed":  # the one read-only gain array is shared, never copied
-            assert twin.fixed is state.fixed and not state.fixed.flags.writeable
+        if kind == "fixed":  # it serves the utility's one read-only weight array, never a copy
+            assert vars(twin).keys() == {"utility", "units"} and not util.weights.flags.writeable
         for v in theirs:
             twin.add(v)
             _matches_rebuild(state, util, base)
@@ -421,6 +420,59 @@ def test_budget_additive_sum_is_correctly_rounded():
         util = BudgetAdditiveUtility(w, alpha=1.0, beta=1.0, k=16)
         s = [int(i) for i in np.flatnonzero(rng.random(12) < 0.6)]
         assert util.evaluate(s) == math.fsum(w[s].tolist()) / 16
+
+
+def test_linear_sum_is_correctly_rounded_in_any_order():
+    # linear g is the weights' math.fsum, as budget-additive's is, whatever the order in
+    # which the base is given or its state grew; a pairwise float sum misses the last bit
+    # on some of these
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        w = rng.uniform(0.0, 1.0, 16) ** rng.integers(1, 30, 16)  # many binades
+        util = LinearUtility(w)
+        s = [int(i) for i in rng.permutation(16)[:int(rng.integers(0, 17))]]
+        expected = math.fsum(w[s].tolist()).hex()
+        assert util.evaluate(s).hex() == util.evaluate(s[::-1]).hex() == expected
+        state = util._gain_state()
+        for v in s:
+            state.add(v)
+        assert state.value().hex() == expected
+
+
+def test_linear_sum_beyond_the_float_range_is_inf():
+    # the exact sum rounds to inf, with no RuntimeWarning (an error in this suite) and no
+    # OverflowError from the int division
+    util = LinearUtility([1e308, 1e308])
+    assert util.evaluate([0, 1]) == math.inf
+    assert util.evaluate([1]) == 1e308
+
+
+def test_a_subclass_has_only_the_capabilities_it_states():
+    # _fixed (gains never change) and _bounded (monotone submodular by construction) hold
+    # for the kind that states them; a subclass reads False unless it states them again,
+    # and its sweep then gets the plain gain state
+    kinds = {LinearUtility: (True, True), ConstantZeroUtility: (True, True),
+             CoverageUtility: (False, True), BudgetAdditiveUtility: (False, True),
+             MarginSimilarityUtility: (False, False), TabulatedUtility: (False, False)}
+    for kind, capabilities in kinds.items():
+        assert (kind._fixed, kind._bounded) == capabilities, kind
+        sub = type("Sub", (kind,), {})
+        assert (sub._fixed, sub._bounded) == (False, False), kind
+        restated = type("Restated", (kind,), {"_fixed": kind._fixed, "_bounded": kind._bounded})
+        assert (restated._fixed, restated._bounded) == capabilities, kind
+        deeper = type("Deeper", (restated,), {})
+        assert (deeper._fixed, deeper._bounded) == (False, False), kind
+    sub = type("Sub", (LinearUtility,), {})([0.5, 0.25])
+    assert type(sub._sweep_state()) is not _FixedGains
+    assert type(LinearUtility([0.5, 0.25])._sweep_state()) is _FixedGains
+
+
+def test_a_zero_utility_of_any_size_holds_one_zero():
+    # its weights and units broadcast one zero, so a size read from a file allocates nothing
+    util = ConstantZeroUtility(10**12)
+    assert util.weights.strides == util._mant.strides == util._sh.strides == (0,)
+    assert util.evaluate([0, 10**12 - 1]) == 0.0
+    assert util.batch_marginal([5, 7], [0]).tolist() == [0.0, 0.0]
 
 
 def test_budget_additive_units_and_gains_are_the_literal_formula_in_every_regime():
