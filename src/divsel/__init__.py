@@ -23,18 +23,6 @@ from .core import (
     objective,
 )
 from .errors import DegenerateRatioError, FormatError, InputError, SizeGuardError
-from .generators import (
-    GeneratedInstance,
-    Graph,
-    embed_graph,
-    gen_clique_reduction,
-    gen_cover_reduction,
-    gen_gaussian,
-    gen_greedy_hard,
-    gen_independent_set_reduction,
-    gen_nonsubmodular_example,
-    random_bounded_degree_graph,
-)
 from .oracle import ExactResult, brute_force_constrained, brute_force_opt, ratio_report
 from .utilities import (
     BudgetAdditiveUtility,
@@ -50,6 +38,29 @@ from .utilities import (
 )
 
 __version__ = "0.1.0"
+
+#: Names of ``divsel.generators``, which is loaded on first use: only ``gen`` and the tests
+#: need it.
+_GENERATORS = frozenset((
+    "GeneratedInstance",
+    "Graph",
+    "embed_graph",
+    "gen_clique_reduction",
+    "gen_cover_reduction",
+    "gen_gaussian",
+    "gen_greedy_hard",
+    "gen_independent_set_reduction",
+    "gen_nonsubmodular_example",
+    "random_bounded_degree_graph",
+))
+
+
+def __getattr__(name: str):
+    if name in _GENERATORS:
+        from . import generators
+        return getattr(generators, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BudgetAdditiveUtility",

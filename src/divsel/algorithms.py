@@ -64,13 +64,14 @@ def _threshold_tree(
     of f <= g(S) + (the k - |S| largest gains at S over C) + ``lam`` *
     min(d_max, run_div), g(S) summed from the picks' gains.  It is dropped when
     that plus ``VALUE_RTOL`` * |bound| is below ``best[0]``, the largest f
-    offered so far: a branch by its parent's gains, a step by the cap with
-    (k - |S|) * (largest gain) in place of the sum.
+    offered so far: a branch by its parent's gains (a sum past the float range
+    is inf, which drops nothing), a step by the cap with (k - |S|) * (largest
+    gain) in place of the sum.  Distance rows come from ``instance._rows()``.
     """
     # pending paths: (S, lo, hi, min_dist or None when no point is left at thresholds[lo], walk
     # position, run_div, g(S), its own gain state, None or a branch's (g, pick's gain, its gains)
     # at its parent)
-    n, rows, cut, d_max = instance.n, instance.distance_matrix(), thresholds.searchsorted, instance.d_max
+    n, rows, cut, d_max = instance.n, instance._rows(), thresholds.searchsorted, instance.d_max
     root = utility._sweep_state()
     paths = [([], 0, len(thresholds) - 1, np.full(n, np.inf), 0, math.inf, 0.0, root, None)]
     bounded = utility._bounded
@@ -83,7 +84,10 @@ def _threshold_tree(
             bound = g0 + r * top + tail
             if bound + VALUE_RTOL * abs(bound) >= limit:
                 top_r = pg if r >= pg.size else np.partition(pg, pg.size - r)[pg.size - r:]
-                bound = g0 + math.fsum(top_r.tolist()) + tail
+                try:
+                    bound = g0 + math.fsum(top_r.tolist()) + tail
+                except OverflowError:  # gains >= 0 past the float range: inf skips nothing
+                    bound = math.inf
             if bound + VALUE_RTOL * abs(bound) < limit:
                 continue
         if parent is not None and min_dist is not None:  # a branch with a pick:
@@ -205,7 +209,7 @@ class _Chain:
         """Adds each of ``picks`` in turn (a generator of picks may read the chain between
         two) and records the prefix's (f, g, div), g read from the state; then offers the
         prefixes longest first, as lazy ``islice``s, so later-wins keeps the earliest of equals."""
-        rows, lam = self.problem.instance.distance_matrix(), self.problem.lam
+        rows, lam = self.problem.instance._rows(), self.problem.lam
         min_dist, state, order, values = self.min_dist, self.state, [], []
         for t in picks:
             self.div = div = min(self.div, min_dist.item(t))

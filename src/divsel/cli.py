@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, algorithms, formats, generators, oracle
-from .core import Instance, Problem, Solution, _mirror_upper
+from . import __version__, algorithms, formats, oracle
+from .core import Instance, Problem, Solution, _unit_rows
 from .errors import FormatError, InputError, SizeGuardError
 from .utilities import LinearUtility, MarginSimilarityUtility
 
@@ -146,6 +146,8 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from . import generators  # only gen needs it: loaded here
+
     family = args.family
     if family == "gaussian":
         gen = generators.gen_gaussian(args.n, args.dim, args.seed)
@@ -315,17 +317,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     embeddings, uncertainty = formats.load_embeddings(args.embeddings)
     if not np.isfinite(embeddings).all():  # before the norm, which would warn on them
         raise InputError("points must be finite")
-    norms = np.linalg.norm(embeddings, axis=1)
-    if (norms == 0).any():
-        raise InputError("embeddings must be nonzero vectors")
-    deviation = float(np.abs(norms - 1.0).max())
+    unit, deviation = _unit_rows(embeddings, "embeddings must be nonzero vectors")
     if deviation > 1e-6:
         print(
             f"warning: normalizing embeddings to unit length "
             f"(max deviation {deviation:.3e})",
             file=sys.stderr,
         )
-    unit = embeddings / norms[:, None]
     instance = Instance.from_cosine(unit)
     n = instance.n
 
@@ -357,7 +355,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 )
             sim = unit @ unit.T
             np.clip(sim, -1.0, 1.0, out=sim)
-            _mirror_upper(sim)
+            np.fill_diagonal(sim, 0.0)  # off it, exactly symmetric (numpy's syrk)
             sim += 0.0  # a zero product of either sign becomes +0.0
             utility = MarginSimilarityUtility(
                 uncertainty, similarity=sim, alpha_s=alpha_s, beta_s=beta_s

@@ -119,13 +119,38 @@ def _run_args(instance: Instance, utility: UtilityOracle, d: float, k) -> int:
     return _budget(k)
 
 
-def _mirror_upper(d: np.ndarray) -> None:
-    """Mirror the strict upper triangle of ``d`` and zero the diagonal, in place by row tiles."""
-    for i0 in range(0, len(d), 256):
-        d[i0:i0 + 256, :i0] = d[:i0, i0:i0 + 256].T
-        tile = d[i0:i0 + 256, i0:i0 + 256]
-        np.copyto(tile, tile.T, where=np.tri(len(tile), k=-1, dtype=bool))
-    np.fill_diagonal(d, 0.0)
+def _unit_rows(p: np.ndarray, zero: str) -> tuple[np.ndarray, float]:
+    """The finite rows of ``p`` over their norms, and the largest |norm - 1|.  The plain
+    norm squares each entry, so a row whose norm under- or overflows (0 or inf) is divided
+    by its largest magnitude first; every other row keeps the plain quotient's bits.  A
+    zero row raises InputError(``zero``)."""
+    with np.errstate(over="ignore"):  # an inf norm is taken again, scaled
+        norms = np.linalg.norm(p, axis=1)
+        deviation = np.abs(norms - 1.0)
+        odd = (norms == 0.0) | (norms == np.inf)
+        if odd.any():
+            scale = np.abs(p[odd]).max(axis=1)
+            if not scale.all():
+                raise InputError(zero)
+            p, norms = p.copy(), norms.copy()
+            p[odd] /= scale[:, None]
+            norms[odd] = np.linalg.norm(p[odd], axis=1)
+            deviation[odd] = np.abs(scale * norms[odd] - 1.0)
+    return p / norms[:, None], float(deviation.max())
+
+
+class _GramRows:
+    """Cosine distance rows made on demand from the Gram matrix ``G`` (+inf diagonal): ``[t]``,
+    ``max(1 - G[t], 0)``, and ``max(axis=1)`` are the dense matrix's bits (fl(1 - x) is monotone)."""
+
+    def __init__(self, gram: np.ndarray):
+        self.gram = gram
+
+    def __getitem__(self, t: int) -> np.ndarray:
+        return np.maximum(1.0 - self.gram[t], 0.0)
+
+    def max(self, axis: int) -> np.ndarray:
+        return np.maximum(1.0 - self.gram.min(axis=axis), 0.0)
 
 
 class Instance:
@@ -139,13 +164,13 @@ class Instance:
       normalized on construction; note this distance may violate the triangle
       inequality, which is why the triangle check applies to matrices only).
 
-    The full pairwise distance matrix is materialized lazily and cached (above
-    ``DENSE_MAX_BYTES`` it raises :class:`InputError`); ``d_max`` is its maximum,
-    stored with it.  Every zero distance is +0.0: a matrix input's ``-0.0`` is
-    stored as ``+0.0`` (the caller's array is not touched), and the Euclidean
-    and cosine matrices never hold ``-0.0``.  Instances are immutable after
-    construction and safe to share across threads: a lock lets one thread fill
-    each lazy cache, so two never build an n^2 array at once.
+    The full pairwise distance matrix is materialized lazily and cached (above ``DENSE_MAX_BYTES``
+    it raises :class:`InputError`); ``d_max`` is its maximum, stored with it.  A cosine instance
+    holds its Gram matrix until a caller asks for the whole matrix; the solvers make the rows they
+    read from it.  Every zero distance is +0.0: a matrix input's ``-0.0`` is stored as ``+0.0``
+    (the caller's array is not touched), and the Euclidean and cosine matrices never hold
+    ``-0.0``.  Instances are immutable after construction and safe to share across threads: a
+    lock lets one thread fill each lazy cache, so two never build an n^2 array at once.
     """
 
     def __init__(
@@ -160,7 +185,7 @@ class Instance:
             raise InputError(f"unknown metric kind {metric!r}; expected one of {METRIC_KINDS}")
         self.metric = metric
         self._points: np.ndarray | None = None
-        self._pairwise: np.ndarray | None = None
+        self._pairwise: np.ndarray | _GramRows | None = None
         self._sweep: np.ndarray | None = None
         self._diameter: tuple[float, tuple[int, int]] | None = None
         self._lock = threading.Lock()
@@ -189,11 +214,7 @@ class Instance:
             if not np.isfinite(p).all():
                 raise InputError("points must be finite")
             if metric == "cosine":
-                norms = np.linalg.norm(p, axis=1)
-                if (norms == 0).any():
-                    raise InputError("cosine metric requires nonzero vectors")
-                self.max_unit_deviation = float(np.abs(norms - 1.0).max())
-                p = p / norms[:, None]
+                p, self.max_unit_deviation = _unit_rows(p, "cosine metric requires nonzero vectors")
             p.setflags(write=False)
             self._points = p
             self.n = p.shape[0]
@@ -253,33 +274,39 @@ class Instance:
 
     # -- distances ----------------------------------------------------------
 
-    def _keep(self, m: np.ndarray) -> None:
-        """Store ``m`` read-only as the distance matrix, with the diameter and its
-        first row-major pair (``(0, 1)`` when no two points are apart)."""
-        m.setflags(write=False)
+    def _keep(self, m: np.ndarray | _GramRows) -> None:
+        """Store ``m`` read-only as the distance rows, with the diameter and its first
+        row-major pair (``(0, 1)`` when no two points are apart), refusing a non-finite one."""
+        (m.gram if isinstance(m, _GramRows) else m).setflags(write=False)
         row_max = m.max(axis=1)  # one pass, no n^2 temporary
         i = int(np.argmax(row_max))  # symmetric with a zero diagonal: the pair has i < j
+        if not math.isfinite(row_max[i]):
+            raise InputError("computed distances must be finite; the coordinates are too large")
         pair = (i, int(np.argmax(m[i]))) if row_max[i] > 0.0 else (0, 1)
         self._diameter = (float(row_max[i]), pair)  # first: unlocked readers test _pairwise
         self._pairwise = m
 
-    def distance_matrix(self) -> np.ndarray:
-        """Full pairwise distance matrix (cached, read-only)."""
-        if self._pairwise is None:
+    def _rows(self, dense: bool = False) -> np.ndarray | _GramRows:
+        """Distance rows as the solvers read them, ``rows[t]``: the distance matrix once built or
+        when ``dense``, else a cosine instance's :class:`_GramRows` of ``P @ P.T``.  A dense matrix
+        made from held Gram rows is made from a copy: other threads may be reading them."""
+        if self._pairwise is None or (dense and isinstance(self._pairwise, _GramRows)):
             if 8 * self.n**2 > DENSE_MAX_BYTES:
                 raise InputError(f"dense distance matrix for n={self.n} exceeds {DENSE_MAX_BYTES} B")
             with self._lock:
-                if self._pairwise is None:
-                    if self.metric == "euclidean":  # scipy's import is costly: only here
-                        from scipy.spatial.distance import pdist, squareform
-                        d = squareform(pdist(self._points))
-                    else:  # cosine; dist = 1 - dot on unit rows, in place
-                        d = self._points @ self._points.T
-                        np.subtract(1.0, d, out=d)
-                        np.maximum(d, 0.0, out=d)
-                        _mirror_upper(d)  # exact symmetry
-                    self._keep(d)
+                held = self._pairwise
+                if held is None and self.metric == "euclidean":  # scipy's import is costly: only here
+                    from scipy.spatial.distance import pdist, squareform
+                    self._keep(squareform(pdist(self._points)))
+                elif held is None or (dense and isinstance(held, _GramRows)):
+                    g = self._points @ self._points.T if held is None else held.gram.copy()
+                    np.fill_diagonal(g, np.inf)  # exactly symmetric (numpy's syrk); 1 - inf clamps to +0.0
+                    self._keep(np.maximum(np.subtract(1.0, g, out=g), 0.0, out=g) if dense else _GramRows(g))
         return self._pairwise
+
+    def distance_matrix(self) -> np.ndarray:
+        """Full pairwise distance matrix (cached, read-only)."""
+        return self._rows(dense=True)
 
     def dist(self, i: int, j: int) -> float:
         i, j = _indices((i, j), "point")
@@ -312,7 +339,7 @@ class Instance:
     def d_max(self) -> float:
         """Diameter of the ground set, the matrix maximum (stored with it); 0 below two points."""
         if self._diameter is None:
-            self.distance_matrix()
+            self._rows()
         return self._diameter[0]
 
     def diametrical_pair(self) -> tuple[int, int]:

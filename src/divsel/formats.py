@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .core import Instance, UtilityOracle, integral
 from .errors import FormatError, InputError
-from .generators import Graph
 from .utilities import (
     BudgetAdditiveUtility,
     ConstantZeroUtility,
@@ -48,6 +47,9 @@ from .utilities import (
     LinearUtility,
     MarginSimilarityUtility,
 )
+
+if TYPE_CHECKING:
+    from .generators import Graph
 
 UTILITY_KINDS = ("linear", "coverage", "budget_additive", "margin_similarity", "constant_zero")
 
@@ -223,6 +225,8 @@ def load_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def load_graph(path: str | Path) -> Graph:
+    from .generators import Graph  # imported on first use, as ``gen`` does
+
     doc = _read_json(path)
     try:
         return Graph.from_edges(integral(doc["n"], "'n'"), doc.get("edges", []))

@@ -24,6 +24,22 @@ from divsel import (
 METRIC_STYLES = ("euclidean", "box", "shortest-path")
 
 
+def cosine_points(rng, n, dim, kind):
+    """Gaussian rows with duplicates and antipodes, axis-aligned rows of varied
+    length and sign, which tie many pairs at exactly 2 (``"ties"``), or ``n``
+    copies of one row (``"identical"``)."""
+    if kind == "ties":
+        p = np.zeros((n, dim))
+        p[np.arange(n), rng.integers(0, dim, n)] = rng.choice([-3.0, -1.0, 0.5, 2.0], n)
+        return p
+    if kind == "identical":
+        return np.repeat(rng.standard_normal((1, dim)), n, axis=0)
+    p = rng.standard_normal((n, dim))
+    p[1::4] = p[0::4][: len(p[1::4])]
+    p[2::4] = -2.0 * p[0::4][: len(p[2::4])]
+    return p
+
+
 def integer_cases(value: int = 3) -> tuple[tuple, tuple]:
     """The one table of integer cases, around ``value``: ``(accepted, refused)``.
 

@@ -1,6 +1,8 @@
 import itertools
 import math
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from divsel import (
     Instance,
     LinearUtility,
     Problem,
+    Solution,
     brute_force_opt,
     classic_greedy,
     distance_thresholds,
@@ -455,3 +458,68 @@ def test_only_gain_states_count_queries(monkeypatch):
     assert callers
     assert {(c, name) for c, name in callers
             if not (issubclass(c, _GainState) and name in ("gains", "pick", "value"))} == set()
+
+
+def test_branch_bound_past_the_float_range_is_inf():
+    # the gains of a branch's parent sum past the float range; the bound is then inf and
+    # skips nothing, where math.fsum alone raises OverflowError
+    rng = np.random.default_rng(61)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(200):
+            n = int(rng.integers(3, 9))
+            inst = Instance.from_euclidean(rng.standard_normal((n, 2)))
+            util = LinearUtility(rng.uniform(0.5e308, 1e308, n))
+            k = int(rng.integers(1, n + 1))
+            for schedule in SCHEDULES:
+                sol = gist(Problem(inst, util, lam=1.0, k=k, schedule=schedule))
+                assert isinstance(sol, Solution) and len(sol.selected) <= k
+
+
+def test_geometric_solvers_read_cosine_rows_without_the_dense_matrix(monkeypatch):
+    rng = np.random.default_rng(4)
+    points, weights = rng.standard_normal((300, 16)), rng.uniform(0.0, 1.0, 300)
+
+    def problem():
+        return Problem(Instance.from_cosine(points), LinearUtility(weights), lam=0.3, k=8)
+
+    expected = {name: solve(problem()) for name, solve in ALGORITHM_RUNS}
+
+    def refuse(self):
+        raise AssertionError("dense distance matrix built")
+
+    monkeypatch.setattr(Instance, "distance_matrix", refuse)
+    for name, solve in ALGORITHM_RUNS:
+        assert solve(problem()) == expected[name], name
+
+
+def test_threads_share_one_cosine_instance():
+    # threads on the geometric schedule sweep rows made from the Gram matrix while those on
+    # the exhaustive one build the dense matrix from it; each returns its solo output
+    rng = np.random.default_rng(0)
+    points, weights = rng.standard_normal((300, 16)), rng.uniform(0.0, 1.0, 300)
+
+    def problems(inst):  # a utility each: one shared utility counts every thread's queries
+        return [Problem(inst, LinearUtility(weights), lam=0.3, k=8, schedule=s) for s in SCHEDULES * 2]
+
+    solo = [gist(p) for p in problems(Instance.from_cosine(points))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared = problems(Instance.from_cosine(points))
+            got, start = [None] * len(shared), threading.Barrier(len(shared))
+
+            def run(i):
+                start.wait(timeout=60)
+                got[i] = gist(shared[i])
+
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(shared))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert got == solo
+    finally:
+        sys.setswitchinterval(interval)

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -467,6 +468,46 @@ def test_ingest_normalization_warning(tmp_path, capsys):
     ])
     assert run("ingest", "--embeddings", emb, "--k", 2, "--out", tmp_path / "sel.json") == 0
     assert "normalizing embeddings" in capsys.readouterr().err
+
+
+def test_solve_refuses_distances_past_the_float_range(tmp_path):
+    inst, util = tmp_path / "inst.json", tmp_path / "util.json"
+    inst.write_text(json.dumps({"n": 3, "metric": "euclidean",
+                                "points": [[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]]}))
+    util.write_text(json.dumps({"kind": "linear", "weights": [1.0, 2.0, 3.0]}))
+    assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 2,
+               "--out", tmp_path / "out.csv") == 3
+
+
+def ingest_output(tmp_path, vectors, *flags):
+    """The document ``ingest`` writes for these embeddings, its wall time left out."""
+    write_embeddings(tmp_path / "emb.jsonl", [
+        {"embedding": v, "uncertainty": 0.1 * (i + 1)} for i, v in enumerate(vectors)])
+    assert run("ingest", "--embeddings", tmp_path / "emb.jsonl", "--k", 2,
+               "--out", tmp_path / "sel.json", *flags) == 0
+    doc = json.loads((tmp_path / "sel.json").read_text())
+    del doc["wall_time_ms"]
+    return doc
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e300])
+def test_ingest_scales_rows_whose_plain_norm_under_or_overflows(tmp_path, scale):
+    rest = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.5]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ingest_output(tmp_path, [[scale, scale]] + rest)
+    assert got == ingest_output(tmp_path, [[1.0, 1.0]] + rest)
+
+
+def test_default_ingest_builds_no_dense_distance_matrix(tmp_path, monkeypatch):
+    vectors = np.random.default_rng(8).standard_normal((200, 8)).tolist()
+    expected = ingest_output(tmp_path, vectors)
+
+    def refuse(self):
+        raise AssertionError("dense distance matrix built")
+
+    monkeypatch.setattr(Instance, "distance_matrix", refuse)
+    assert ingest_output(tmp_path, vectors) == expected
 
 
 def test_gen_graph_families(tmp_path):

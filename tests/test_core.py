@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -19,10 +20,11 @@ from divsel import (
     gen_greedy_hard,
     gen_independent_set_reduction,
     gen_nonsubmodular_example,
+    gist,
     greedy_independent_set,
     objective,
 )
-from divsel.core import DENSE_MAX_BYTES, _mirror_upper
+from divsel.core import DENSE_MAX_BYTES
 from support import METRIC_STYLES, integer_cases, random_metric_instance
 
 
@@ -138,12 +140,30 @@ def test_every_zero_distance_is_positive_zero():
     assert np.signbit(signed).all()  # the caller's array keeps its -0.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
-def test_mirror_upper_copies_the_upper_triangle_of_any_matrix(n):
-    d = np.random.default_rng(n).standard_normal((n, n))  # not symmetric
-    upper = np.triu(d, 1)
-    _mirror_upper(d)
-    assert d.tobytes() == (upper + upper.T).tobytes()
+@pytest.mark.parametrize("scale", [1e-200, 1e300])
+def test_cosine_rows_whose_plain_norm_under_or_overflows_are_scaled_first(scale):
+    # squaring [1e-200, 1e-200] gives a zero norm and [1e300, 1e300] an inf one; divided
+    # by their largest magnitude first, both give the bits of [1, 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = Instance.from_cosine([[scale, scale], [1.0, 0.0], [0.0, 1.0]])
+    plain = Instance.from_cosine([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    assert inst.points.tobytes() == plain.points.tobytes()
+    assert inst.distance_matrix().tobytes() == plain.distance_matrix().tobytes()
+    assert inst.max_unit_deviation == pytest.approx(abs(math.hypot(scale, scale) - 1.0), rel=1e-15)
+    with pytest.raises(InputError, match="nonzero vectors"):
+        Instance.from_cosine([[scale, scale], [0.0, 0.0]])
+
+
+def test_computed_distances_past_the_float_range_are_refused():
+    # pdist overflows to inf without a warning; an inf matrix entry is refused, and so is this
+    inst = Instance.from_euclidean([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="finite"):
+            inst.d_max
+        with pytest.raises(InputError, match="finite"):
+            gist(Problem(inst, LinearUtility([1.0, 2.0, 3.0]), lam=1.0, k=2))
 
 
 def test_cosine_matrix_and_diameter_are_built_in_place():

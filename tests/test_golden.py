@@ -14,8 +14,12 @@ To see which records a change moves, run ``python tests/test_golden.py --dump
 FILE`` in each checkout and ``diff`` the files: one record per line, the text
 each digest hashes (floats as ``float.hex``), numbered within its digest.
 
-Matrix and Euclidean instances only: the cosine matrix goes through BLAS
-gemm, whose rounding may differ between builds.
+Matrix and Euclidean instances only: the cosine matrix goes through BLAS,
+whose rounding may differ between builds.  ``--dump FILE --cosine`` writes a
+cosine grid instead, kept out of both digests, for diffing two checkouts on
+one machine: every solver on both schedules, ``greedy_independent_set`` at
+three floors, ``d_max`` with its pair, and a hash of every distance row the
+solvers read, on a fresh instance and on one whose dense matrix came first.
 """
 
 import argparse
@@ -38,9 +42,11 @@ from divsel import (
     check_monotone_submodular,
     classic_greedy,
     gist,
+    greedy_independent_set,
     random_baseline,
     simple_baseline,
 )
+from support import cosine_points
 
 GOLDEN = "2bad52461c59fad0c8d34a1f8fb19cd1499d579c8fde5361a7a4ecc7cf978fb9"
 GOLDEN_EXACT = "d82993095b834194971740e76951826b3324ef3cba0852fe95943127c3e5b1a4"
@@ -135,10 +141,52 @@ def test_golden_exact_digest():
     assert digest(exact_records()) == GOLDEN_EXACT
 
 
-def dump(path):
-    """Write every record of both digests to ``path``, one per line."""
+def row_hash(inst):
+    """SHA-256 of every distance row the solvers read, in order."""
+    rows = getattr(inst, "_rows", inst.distance_matrix)()  # older trees read the dense matrix
+    h = hashlib.sha256()
+    for t in range(inst.n):
+        h.update(rows[t].tobytes())
+    return h.hexdigest()
+
+
+def cosine_records():
+    for n in (1, 2, 3, 4, 7, 16, 50, 150, 300):
+        for dim in (1, 3, 64):
+            for kind in ("gaussian", "ties", "identical"):
+                rng = np.random.default_rng([n, dim, len(kind)])
+                points = cosine_points(rng, n, dim, kind)
+                k = int(rng.integers(1, min(n, 20) + 1))
+                lam = float(rng.choice([0.0, 0.05, 0.5, 3.0]))
+                family_sets = [np.flatnonzero(rng.random(10) < 0.3).tolist() for _ in range(n)]
+                weights = rng.uniform(0.0, 1.0, n)
+                utils = (LinearUtility(weights), BudgetAdditiveUtility(weights, 0.95, 0.75, k=k),
+                         CoverageUtility(family_sets, 10), ConstantZeroUtility(n))
+                for dense_first in (False, True):
+                    inst = Instance.from_cosine(points)
+                    if dense_first:
+                        inst.distance_matrix()
+                    yield "rows", row_hash(inst)
+                    yield inst.d_max.hex(), inst.diametrical_pair() if n >= 2 else None
+                    for schedule in ("geometric", "exhaustive"):  # the dense matrix comes last
+                        for util in utils:
+                            problem = Problem(inst, util, lam=lam, k=k, epsilon=0.2, schedule=schedule)
+                            for sol in (gist(problem), simple_baseline(problem),
+                                        classic_greedy(problem), random_baseline(problem, seed=3)):
+                                yield solution_fields(sol)
+                            if schedule == "geometric":
+                                for d in (0.0, inst.d_max / 4.0, inst.d_max / 2.0):
+                                    yield greedy_independent_set(inst, util, d, k)
+                    inst.distance_matrix()
+                    yield "rows", row_hash(inst)
+
+
+def dump(path, cosine=False):
+    """Write every record of both digests, or of the cosine grid, to ``path``, one per line."""
+    sources = (("cosine", cosine_records()),) if cosine else (
+        ("golden", records()), ("exact", exact_records()))
     with open(path, "w") as fh:
-        for name, recs in (("golden", records()), ("exact", exact_records())):
+        for name, recs in sources:
             for i, record in enumerate(recs):
                 fh.write(f"{name} {i} {record!r}\n")
 
@@ -146,4 +194,7 @@ def dump(path):
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Dump the golden records for diffing.")
     parser.add_argument("--dump", metavar="FILE", required=True)
-    dump(parser.parse_args().dump)
+    parser.add_argument("--cosine", action="store_true",
+                        help="dump the same-machine cosine grid instead of the digests' records")
+    args = parser.parse_args()
+    dump(args.dump, args.cosine)

@@ -1,5 +1,6 @@
 """Import hygiene: scipy is loaded only by the first Euclidean distance
-matrix, and orjson only by the first embeddings file read.  Each check runs
+matrix, orjson only by the first embeddings file read, and
+``divsel.generators`` only by its first name used.  Each check runs
 in a fresh isolated interpreter, since this test process has long imported
 both."""
 
@@ -24,12 +25,13 @@ def run_fresh(code: str, *args) -> str:
 
 
 def test_import_loads_no_scipy_or_orjson_and_cosine_ingest_only_orjson(tmp_path):
+    # nor divsel.generators: only gen and the tests need it
     emb = tmp_path / "emb.jsonl"
     emb.write_text("".join(json.dumps({"embedding": [float(i), 1.0, -2.0], "uncertainty": 0.5})
                            + "\n" for i in range(12)))
     code = """
 def loaded():
-    return ['scipy' in sys.modules, 'orjson' in sys.modules]
+    return [m in sys.modules for m in ('scipy', 'orjson', 'divsel.generators')]
 import divsel
 seen = [loaded()]
 import divsel.cli
@@ -39,7 +41,7 @@ seen.append(loaded())
 print(code, seen)
 """
     assert (run_fresh(code, emb, tmp_path / "sel.json")
-            == "0 [[False, False], [False, False], [False, True]]")
+            == "0 [[False, False, False], [False, False, False], [False, True, False]]")
     assert len(json.loads((tmp_path / "sel.json").read_text())["selected"]) <= 3
 
 

@@ -34,7 +34,8 @@ from divsel import (
     simple_baseline,
 )
 from divsel.core import _thresholds
-from support import counted, make_utility, random_metric_instance, sparse_coverage_utility
+from support import (cosine_points, counted, make_utility, random_metric_instance,
+                     sparse_coverage_utility)
 
 
 def cosine_instance(rng, n):
@@ -185,19 +186,6 @@ def test_exact_solvers_match_literal_reference(instance_kind):
             assert (exact(*got), queries) == (exact(*expected), expected_queries), (label, d)
 
 
-def cosine_points(rng, n, dim, kind):
-    """Gaussian rows with duplicates and antipodes, or axis-aligned rows of
-    varied length and sign, which tie many pairs at exactly 2."""
-    if kind == "ties":
-        p = np.zeros((n, dim))
-        p[np.arange(n), rng.integers(0, dim, n)] = rng.choice([-3.0, -1.0, 0.5, 2.0], n)
-        return p
-    p = rng.standard_normal((n, dim))
-    p[1::4] = p[0::4][: len(p[1::4])]
-    p[2::4] = -2.0 * p[0::4][: len(p[2::4])]
-    return p
-
-
 @pytest.mark.parametrize("kind", ["gaussian", "ties"])
 @pytest.mark.parametrize("dim", [1, 64])
 @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
@@ -212,6 +200,25 @@ def test_cosine_matrix_and_diameter_match_literal_reference(n, dim, kind):
         assert inst.diametrical_pair() == pair
     if n >= 255 and kind == "ties":
         assert np.count_nonzero(expected == d_max) >= 4  # two or more pairs tie at d_max
+
+
+@pytest.mark.parametrize("dense_first", [False, True])
+@pytest.mark.parametrize("kind", ["gaussian", "ties"])
+@pytest.mark.parametrize("dim", [1, 64])
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+def test_cosine_rows_match_literal_reference_in_either_build_order(n, dim, kind, dense_first):
+    # the rows the solvers read: made from the Gram matrix on a fresh instance, or the
+    # dense matrix's once built; the dense matrix made from a held Gram matrix matches too
+    points = cosine_points(np.random.default_rng(10 * n + dim), n, dim, kind)
+    inst = Instance.from_cosine(points)
+    expected = reference.cosine_distance_matrix(points)
+    if dense_first:
+        inst.distance_matrix()
+    rows = inst._rows()
+    dense = inst.distance_matrix()  # made anew from a held Gram matrix, which rows still reads
+    assert all(rows[t].tobytes() == expected[t].tobytes() for t in range(n))
+    assert dense.tobytes() == expected.tobytes()
+    assert (inst.d_max, inst.diametrical_pair() if n >= 2 else None) == reference.diameter(expected)
 
 
 def signed_zero_matrix(rng, n):
