@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from itertools import islice, repeat
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .core import (VALUE_RTOL, Instance, Problem, Solution, UtilityOracle, _GainState, _run_args,
-                   _thresholds, integral)
+from .core import (VALUE_RTOL, Instance, Problem, Solution, UtilityOracle, _GainState, _Run,
+                   _run_args, _thresholds, integral)
 from .errors import InputError
 
 #: An offer: selection, reported threshold (0.0 at d = 0, None otherwise), (f, g, div).
@@ -39,7 +39,7 @@ _Candidate = tuple[Iterable[int], float | None, tuple[float, float, float]]
 
 def _threshold_tree(
     instance: Instance, utility: UtilityOracle, thresholds: np.ndarray, k: int,
-    lam: float, best: list[float],
+    lam: float, best: list[float], run: _Run,
 ) -> Iterator[tuple[list[int], int, int, float, _GainState]]:
     """The greedy independent set at each of the ascending ``thresholds``: one
     depth-first sweep that shares the common prefixes of the runs.
@@ -52,13 +52,13 @@ def _threshold_tree(
     still has, in a branch, or its run ends at S.  A step that peels such branches
     reads its candidates' gain vector from the pick, or uncounted (``_gains``) when
     the pick built none: the pick counted them.  Each path carries its own gain
-    state and walk position: the root's is the kind's ``_sweep_state()``; a branch
-    copies the state at S, adds its pick when popped, and starts at its parent's
-    position.  Yields ``(selection in order, lo, hi, run_div, state)`` by ascending
-    ``lo``, ``run_div`` being the selection's minimum distance (+inf below two
-    points) and ``state`` the run's gain state, at the selection; its ``value()``
-    is the run's g, counted when read.  A step reads dist(t, S) once, and searches
-    ``thresholds`` only when it lies below ``thresholds[hi]``.
+    state, counting into the call's ``run``, and walk position: the root's is the
+    kind's ``_sweep_state(run)``; a branch copies the state at S, adds its pick when
+    popped, and starts at its parent's position.  Yields ``(selection in order, lo,
+    hi, run_div, state)`` by ascending ``lo``, ``run_div`` being the selection's
+    minimum distance (+inf below two points) and ``state`` the run's gain state, at
+    the selection; its ``value()`` is the run's g, counted when read.  A step reads
+    dist(t, S) once, and searches ``thresholds`` only when it lies below ``thresholds[hi]``.
 
     For a ``_bounded`` kind, a path at prefix S with candidates C only has runs
     of f <= g(S) + (the k - |S| largest gains at S over C) + ``lam`` *
@@ -72,7 +72,7 @@ def _threshold_tree(
     # position, run_div, g(S), its own gain state, None or a branch's (g, pick's gain, its gains)
     # at its parent)
     n, rows, cut, d_max = instance.n, instance._rows(), thresholds.searchsorted, instance.d_max
-    root = utility._sweep_state()
+    root = utility._sweep_state(run)
     paths = [([], 0, len(thresholds) - 1, np.full(n, np.inf), 0, math.inf, 0.0, root, None)]
     bounded = utility._bounded
     while paths:
@@ -146,18 +146,19 @@ def greedy_independent_set(
     is a nonnegative number and ``k`` an integer >= 1 (3.0 passes; 2.5, NaN
     and booleans do not); a ``k`` above n selects at most n points.
     """
-    k = _run_args(instance, utility, d, k)
-    return next(_threshold_tree(instance, utility, np.array([d], dtype=np.float64), k, 0.0, [-math.inf]))[0]
+    k, run = _run_args(instance, utility, d, k), _Run(utility)
+    thresholds = np.array([d], dtype=np.float64)
+    return run.end(next(_threshold_tree(instance, utility, thresholds, k, 0.0, [-math.inf], run))[0])
 
 
-def _sweep_candidates(problem: Problem, thresholds: np.ndarray) -> Iterator[_Candidate]:
+def _sweep_candidates(problem: Problem, thresholds: np.ndarray, run: _Run) -> Iterator[_Candidate]:
     """One sweep over ``thresholds`` (0.0 first), offered in order: the run at d = 0,
     a diametrical pair when k >= 2, then each distinct run holding later
     thresholds with its largest (the one a later-wins loop would report); the
     sweep sees the largest f offered so far, to skip runs that stay below it."""
     inst, util, lam = problem.instance, problem.utility, problem.lam
     best = [-math.inf]
-    for sel, lo, hi, run_div, state in _threshold_tree(inst, util, thresholds, problem.k, lam, best):
+    for sel, lo, hi, run_div, state in _threshold_tree(inst, util, thresholds, problem.k, lam, best, run):
         g = state.value()  # the solver built sel and pair: no index check
         d = min(inst.d_max, run_div)
         value = (g + lam * d, g, d)
@@ -166,52 +167,45 @@ def _sweep_candidates(problem: Problem, thresholds: np.ndarray) -> Iterator[_Can
             yield sel, 0.0, value
             if problem.k >= 2 and inst.n >= 2:
                 pair, d = inst.diametrical_pair(), inst.d_max  # the pair's distance is d_max
-                g = util._gain_state(pair).value()
+                g = util._gain_state(pair, run).value()
                 best[0] = max(best[0], g + lam * d)
                 yield pair, None, (g + lam * d, g, d)
         if hi > 0:
             yield sel, float(thresholds[hi]), value
 
 
-def _best_candidate(problem: Problem, algorithm: str, candidates: Iterable[_Candidate],
+def _best_candidate(problem: Problem, algorithm: str, offers: Callable[[_Run], Iterable[_Candidate]],
                     seed: int | None = None) -> Solution:
-    """The best candidate; a later candidate replaces an equal one.  The solvers produce
-    ``candidates`` lazily, so the queries made while drawing them count toward
-    ``oracle_calls``; only the winner's selection is read."""
-    start, best = problem.utility.query_count, None
-    for sel, threshold, value in candidates:
+    """The best of the candidates ``offers(run)`` makes lazily for one solver call, whose gain
+    states count into ``run``; a later candidate replaces an equal one.  The run ends here: its
+    count is ``oracle_calls``.  Only the winner's selection is read."""
+    best, run = None, _Run(problem.utility)
+    for sel, threshold, value in offers(run):
         if best is None or value[0] >= best[0][0]:
             best = value, threshold, sel
     (f, g, d), threshold, sel = best
-    return Solution(
-        selected=tuple(sorted(sel)),
-        f_value=f,
-        g_value=g,
-        div_value=d,
-        algorithm=algorithm,
-        oracle_calls=problem.utility.query_count - start,
-        winning_threshold=threshold,
-        seed=seed,
-    )
+    return run.end(Solution(selected=tuple(sorted(sel)), f_value=f, g_value=g, div_value=d,
+                            algorithm=algorithm, oracle_calls=run.count,
+                            winning_threshold=threshold, seed=seed))
 
 
 class _Chain:
     """One selection, grown from the empty set by :meth:`grow`: ``min_dist`` is each
     point's distance to it (+inf while it is empty), ``div`` its div and ``state``
-    its gain state."""
+    its gain state, counting into ``run``."""
 
-    def __init__(self, problem: Problem):
+    def __init__(self, problem: Problem, run: _Run):
         inst, self.problem = problem.instance, problem
         self.min_dist, self.div = np.full(inst.n, np.inf), inst.d_max
-        self.state = problem.utility._gain_state()
+        self.state = problem.utility._gain_state((), run)
 
-    def grow(self, picks: Iterable[int]) -> Iterator[_Candidate]:
-        """Adds each of ``picks`` in turn (a generator of picks may read the chain between
+    def grow(self, picks: Callable[[_Chain], Iterable[int]]) -> Iterator[_Candidate]:
+        """Adds each of ``picks(self)`` in turn (a generator of picks may read the chain between
         two) and records the prefix's (f, g, div), g read from the state; then offers the
         prefixes longest first, as lazy ``islice``s, so later-wins keeps the earliest of equals."""
         rows, lam = self.problem.instance._rows(), self.problem.lam
         min_dist, state, order, values = self.min_dist, self.state, [], []
-        for t in picks:
+        for t in picks(self):
             self.div = div = min(self.div, min_dist.item(t))
             np.minimum(min_dist, rows[t], out=min_dist)
             state.add(t)
@@ -235,13 +229,13 @@ def gist(problem: Problem) -> Solution:
     diametrical pair, and otherwise the winning run's largest.
     """
     label = "gist" if problem.schedule == "geometric" else "gist-exhaustive"
-    return _best_candidate(problem, label, _sweep_candidates(problem, _thresholds(problem)))
+    return _best_candidate(problem, label, lambda run: _sweep_candidates(problem, _thresholds(problem), run))
 
 
 def simple_baseline(problem: Problem) -> Solution:
     """Best of the two extreme candidates: utility-only greedy and a
     diametrical pair (skipped when k < 2)."""
-    return _best_candidate(problem, "simple", _sweep_candidates(problem, np.zeros(1)))
+    return _best_candidate(problem, "simple", lambda run: _sweep_candidates(problem, np.zeros(1), run))
 
 
 def classic_greedy(problem: Problem) -> Solution:
@@ -253,9 +247,9 @@ def classic_greedy(problem: Problem) -> Solution:
     available gain is negative.  Returns the best prefix of the built chain
     (earliest prefix on ties).
     """
-    chain, lam = _Chain(problem), problem.lam
+    lam = problem.lam
 
-    def picks() -> Iterator[int]:  # the chain adds each pick before it asks for the next
+    def picks(chain: _Chain) -> Iterator[int]:  # the chain adds each pick before it asks for the next
         cand = np.arange(problem.instance.n)
         for step in range(problem.k):
             gains = chain.state.gains(cand) + lam * (np.minimum(chain.div, chain.min_dist[cand]) - chain.div)
@@ -265,7 +259,7 @@ def classic_greedy(problem: Problem) -> Solution:
             t = int(cand[pos])
             yield t
             cand = cand[cand != t]
-    return _best_candidate(problem, "greedy", chain.grow(picks()))
+    return _best_candidate(problem, "greedy", lambda run: _Chain(problem, run).grow(picks))
 
 
 def random_baseline(problem: Problem, seed: int = 0) -> Solution:
@@ -279,4 +273,4 @@ def random_baseline(problem: Problem, seed: int = 0) -> Solution:
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
     order = np.random.default_rng(seed).permutation(problem.instance.n)[: problem.k].tolist()
-    return _best_candidate(problem, "random", _Chain(problem).grow(order), seed)
+    return _best_candidate(problem, "random", lambda run: _Chain(problem, run).grow(lambda _: order), seed)

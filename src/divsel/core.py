@@ -39,31 +39,30 @@ DENSE_MAX_BYTES = 2**31
 
 def canonical_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     """Return ``subset`` as a sorted, deduplicated, range-checked index tuple."""
-    s = tuple(sorted(set(_indices(subset, "subset"))))
-    if s and (s[0] < 0 or s[-1] >= n):
-        raise InputError(f"subset index out of range for ground set of size {n}: {s}")
-    return s
+    return tuple(sorted(set(_indices(subset, "subset", n))))
 
 
 #: Booleans equal 0 and 1 but are no integers here.
 _BOOLS = frozenset((bool, np.bool_))
 
 
-def _indices(items: Iterable, what: str) -> list[int]:
-    """``items`` as ints under the rule of :func:`integral`: plain ints as they are
-    (an array's are made plain by ``tolist``), anything else through one list
-    comparison and a type check."""
+def _indices(items: Iterable, what: str, n: int) -> list[int]:
+    """``items`` as ints under the rule of :func:`integral`, each in ``range(n)``, else
+    InputError: plain ints as they are (an array's are made plain by ``tolist``),
+    anything else through one list comparison and a type check."""
     items = items.tolist() if isinstance(items, np.ndarray) else list(items)
     types = set(map(type, items))
-    if types <= {int}:  # plain ints, the common case (a bool's type is bool)
-        return items
-    try:
-        ints = list(map(int, items))
-    except (TypeError, ValueError, OverflowError):  # None, NaN, inf
-        ints = None
-    if ints != items or types & _BOOLS:
-        raise InputError(f"{what} indices must be integers, got {items!r}")
-    return ints
+    if not types <= {int}:  # plain ints are the common case (a bool's type is bool)
+        try:
+            ints = list(map(int, items))
+        except (TypeError, ValueError, OverflowError):  # None, NaN, inf
+            ints = None
+        if ints != items or types & _BOOLS:
+            raise InputError(f"{what} indices must be integers, got {items!r}")
+        items = ints
+    if items and not 0 <= min(items) <= max(items) < n:
+        raise InputError(f"{what} index out of range for ground set of size {n}: {items}")
+    return items
 
 
 def integral(x, what: str) -> int:
@@ -140,13 +139,13 @@ def _unit_rows(p: np.ndarray, zero: str) -> tuple[np.ndarray, float]:
 
 
 class _GramRows:
-    """Cosine distance rows made on demand from the Gram matrix ``G`` (+inf diagonal): ``[t]``,
-    ``max(1 - G[t], 0)``, and ``max(axis=1)`` are the dense matrix's bits (fl(1 - x) is monotone)."""
+    """Cosine distances made on demand from the Gram matrix ``G`` (+inf diagonal): ``[t]`` at any
+    index t, ``max(1 - G[t], 0)``, and ``max(axis=1)`` are the dense matrix's (fl(1 - x) is monotone)."""
 
     def __init__(self, gram: np.ndarray):
         self.gram = gram
 
-    def __getitem__(self, t: int) -> np.ndarray:
+    def __getitem__(self, t) -> np.ndarray:
         return np.maximum(1.0 - self.gram[t], 0.0)
 
     def max(self, axis: int) -> np.ndarray:
@@ -166,9 +165,9 @@ class Instance:
 
     The full pairwise distance matrix is materialized lazily and cached (above ``DENSE_MAX_BYTES``
     it raises :class:`InputError`); ``d_max`` is its maximum, stored with it.  A cosine instance
-    holds its Gram matrix until a caller asks for the whole matrix; the solvers make the rows they
-    read from it.  Every zero distance is +0.0: a matrix input's ``-0.0`` is stored as ``+0.0``
-    (the caller's array is not touched), and the Euclidean and cosine matrices never hold
+    holds its Gram matrix until a caller asks for the whole matrix; the solvers, ``dist`` and
+    ``div`` read from it.  Every zero distance is +0.0: a matrix input's ``-0.0`` is stored as
+    ``+0.0`` (the caller's array is not touched), and the Euclidean and cosine matrices never hold
     ``-0.0``.  Instances are immutable after construction and safe to share across threads: a
     lock lets one thread fill each lazy cache, so two never build an n^2 array at once.
     """
@@ -309,14 +308,13 @@ class Instance:
         return self._rows(dense=True)
 
     def dist(self, i: int, j: int) -> float:
-        i, j = _indices((i, j), "point")
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise InputError(f"point index out of range: ({i}, {j})")
-        return float(self.distance_matrix()[i, j])
+        i, j = _indices((i, j), "point", self.n)
+        return float(self._rows()[i, j])
 
     def distance_row(self, i: int) -> np.ndarray:
-        """Distances from point ``i`` to every point (read-only view)."""
-        return self.distance_matrix()[i]
+        """Distances from point ``i`` (checked as by :meth:`dist`): a read-only view, or a new row."""
+        (i,) = _indices((i,), "point", self.n)
+        return self._rows()[i]
 
     def pair_distances_sorted(self) -> np.ndarray:
         """All n*(n-1)/2 pairwise distances, sorted ascending (a new array per call)."""
@@ -351,10 +349,8 @@ class Instance:
 
 
 class QueryCounter:
-    """Thread-safe monotone counter of value-oracle queries.
-
-    The lock keeps ``+=``, a read-modify-write, from losing counts across threads.
-    It is ~0.3 us of each ~0.4 us ``add``: about 1% of a ``lowdim-exhaustive`` request."""
+    """Thread-safe monotone counter of a utility's queries over its life: a solver call adds its
+    :class:`_Run`'s total once, a public query its own.  The lock keeps ``+=`` whole."""
 
     __slots__ = ("_lock", "_count")
 
@@ -371,6 +367,20 @@ class QueryCounter:
         return self._count
 
 
+class _Run:
+    """One solver call's query ``count``: its gain states add to it lock-free (a call runs on one thread)."""
+
+    def __init__(self, utility: UtilityOracle):
+        self.utility, self.count = utility, 0
+
+    def add(self, amount: int) -> None:
+        self.count += amount
+
+    def end(self, result):  # ``result``, once the count has joined the utility's QueryCounter
+        self.utility._queries.add(self.count)
+        return result
+
+
 class UtilityOracle:
     """Base class for set-utility functions ``g`` queried by value.
 
@@ -378,8 +388,8 @@ class UtilityOracle:
     gain (single or batched, one per candidate) counts as one value-oracle
     query, matching the usual oracle-complexity model in which ``g(S)`` is
     already known when a marginal ``g(S + v) - g(S)`` is requested.  Only a
-    :class:`_GainState` counts.  ``gist`` asks nothing for the runs its sweep
-    skips as unable to win.
+    :class:`_GainState` counts, a solver's into its call's :class:`_Run`.
+    ``gist`` asks nothing for the runs its sweep skips as unable to win.
 
     A kind states its capabilities, which a subclass reads as False unless it
     states them again: ``_fixed``, gains that never change with the selection
@@ -432,23 +442,18 @@ class UtilityOracle:
         return float(self.batch_marginal([v], subset)[0])
 
     def batch_marginal(self, candidates: Sequence[int], subset: Iterable[int]) -> np.ndarray:
-        """Marginal gain of each candidate against the same base set.
-
-        Counts one query per candidate.
-        """
+        """Marginal gain of each candidate against the same base set.  Counts one query per candidate."""
         s = canonical_subset(subset, self.n)
-        cand = np.array(_indices(candidates, "candidate"), dtype=np.intp)
-        if cand.size and (cand.min() < 0 or cand.max() >= self.n):
-            raise InputError("candidate index out of range")
+        cand = np.array(_indices(candidates, "candidate", self.n), dtype=np.intp)
         if set(map(int, cand)) & set(s):
             raise InputError("candidates must be disjoint from the base set")
         return self._gain_state(s).gains(cand)
 
-    def _gain_state(self, base: Iterable[int] = ()) -> "_GainState":
-        return _GainState(self, base)
+    def _gain_state(self, base: Iterable[int] = (), run: _Run | None = None) -> _GainState:
+        return _GainState(self, base, run)
 
-    def _sweep_state(self) -> "_GainState":  # the sweep's root, at the empty set
-        return self._gain_state()
+    def _sweep_state(self, run: _Run | None = None) -> _GainState:  # the sweep's root: S empty
+        return self._gain_state((), run)
 
     # -- kind-specific internals (no query accounting) -----------------------
 
@@ -463,19 +468,19 @@ class UtilityOracle:
 
 class _GainState:
     """Gains against a growing selection, unchecked: callers pass in-range candidates
-    disjoint from it.  The one counter of queries: ``gains`` counts one per candidate,
-    ``pick`` one per candidate of its step and ``value`` (g of the selection) one, over the
-    uncounted ``_gains`` and ``_g``; ``add`` grows it; ``copy`` shares only read-only arrays
-    with it (this one copies each writable numpy array attribute).  This default asks
-    ``_batch_marginal`` and ``_value`` on the sorted ``s``, and picks by the argmax of
-    ``gains``; a kind's own state (coverage; the additive kinds' exact sum, whatever the
-    order) overrides ``_gains``, ``add`` and ``_g``, and may override ``pick``."""
+    disjoint from it.  The one counter of queries, into ``run`` (a solver's, else the utility's):
+    ``gains`` counts one per candidate, ``pick`` one per candidate of its step and ``value`` (g
+    of the selection) one, over the uncounted ``_gains`` and ``_g``; ``add`` grows it; ``copy``
+    shares ``run`` and read-only arrays only (this one copies each writable numpy array
+    attribute).  This default asks ``_batch_marginal`` and ``_value`` on the sorted ``s``, and
+    picks by the argmax of ``gains``; a kind's own state (coverage; the additive kinds' exact
+    sum, whatever the order) overrides ``_gains``, ``add`` and ``_g``, and may override ``pick``."""
 
-    def __init__(self, utility: UtilityOracle, base: Iterable[int] = ()):
-        self.utility, self.s = utility, tuple(sorted(base))
+    def __init__(self, utility: UtilityOracle, base: Iterable[int] = (), run: _Run | None = None):
+        self.utility, self.s, self.run = utility, tuple(sorted(base)), run or utility._queries
 
     def gains(self, cand: np.ndarray) -> np.ndarray:
-        self.utility._queries.add(int(cand.size))
+        self.run.add(cand.size)
         return self._gains(cand)
 
     def _gains(self, cand: np.ndarray) -> np.ndarray:
@@ -494,7 +499,7 @@ class _GainState:
         return int(cand[i]), gains.item(i), pos, gains
 
     def value(self) -> float:
-        self.utility._queries.add(1)
+        self.run.add(1)
         return self._g()
 
     def _g(self) -> float:
@@ -554,8 +559,8 @@ class Solution:
     (0.0 for the plain greedy pass, ``None`` when a diametrical pair or an
     algorithm without thresholds produced the set).  ``g_value`` is g of
     ``selected``, ``div_value`` its div and ``f_value = g_value + lam *
-    div_value``.  ``oracle_calls`` counts the utility value queries issued
-    during the run.
+    div_value``.  ``oracle_calls`` counts the utility value queries the run's
+    own gain states issued, even on a utility other threads query meanwhile.
     """
 
     selected: tuple[int, ...]
@@ -577,7 +582,7 @@ def div(instance: Instance, subset: Iterable[int]) -> float:
     s = canonical_subset(subset, instance.n)
     if len(s) <= 1:
         return instance.d_max
-    sub = instance.distance_matrix()[np.ix_(s, s)]
+    sub = instance._rows()[np.ix_(s, s)]  # a new k x k array, from held Gram rows too
     np.fill_diagonal(sub, np.inf)
     return float(sub.min())
 

@@ -40,11 +40,11 @@ class _Additive(UtilityOracle):
         for a in (self._mant, self._sh, self._order):
             a.setflags(write=False)
 
-    def _gain_state(self, base=()):
-        return _AdditiveGains(self, base)
+    def _gain_state(self, base=(), run=None):
+        return _AdditiveGains(self, base, run)
 
-    def _sweep_state(self):
-        return _FixedGains(self) if self._fixed else self._gain_state()
+    def _sweep_state(self, run=None):
+        return _FixedGains(self, run) if self._fixed else self._gain_state((), run)
 
 
 class ConstantZeroUtility(_Additive):
@@ -79,8 +79,8 @@ class _AdditiveGains(_GainState):
     derive more from it): g = units / _den, correctly rounded (inf past the float range), and
     each gain is the candidate's weight."""
 
-    def __init__(self, utility: _Additive, base=()):
-        b, self.utility = list(base), utility
+    def __init__(self, utility: _Additive, base=(), run=None):
+        b, self.utility, self.run = list(base), utility, run or utility._queries
         self._set(sum(map(int.__lshift__, utility._mant[b].tolist(), utility._sh[b].tolist())))
 
     def add(self, v):
@@ -104,8 +104,8 @@ class _FixedGains(_AdditiveGains):
     the counted ``gains``, then serves the weights uncounted.  Its ``pick`` counts nothing and
     walks ``_order``: a point that stops being a candidate never becomes one again."""
 
-    def __init__(self, utility: _Additive):
-        super().__init__(utility)
+    def __init__(self, utility: _Additive, run=None):
+        super().__init__(utility, (), run)
         super().gains(np.arange(utility.n))
 
     gains = _AdditiveGains._gains
@@ -163,8 +163,8 @@ class CoverageUtility(UtilityOracle):
     def family(self) -> tuple[frozenset[int], ...]:
         return tuple(frozenset(c.tolist()) for c in np.split(self._ids[self._cols], self._ptr[1:-1]))
 
-    def _gain_state(self, base=()):
-        return _CoverageGains(self, base)
+    def _gain_state(self, base=(), run=None):
+        return _CoverageGains(self, base, run)
 
 
 class _CoverageGains(_GainState):
@@ -172,8 +172,9 @@ class _CoverageGains(_GainState):
     it (None until then, so a state only asked ``value`` marks ``uncovered`` alone), then
     less one per element ``add`` covers.  The counts are integers, exact either way."""
 
-    def __init__(self, utility: CoverageUtility, base=()):
-        self.utility, self.uncovered, self.gain = utility, np.ones(utility._ids.size, dtype=bool), None
+    def __init__(self, utility: CoverageUtility, base=(), run=None):
+        self.utility, self.run, self.gain = utility, run or utility._queries, None
+        self.uncovered = np.ones(utility._ids.size, dtype=bool)
         if base:  # the columns of base's points
             self.uncovered[utility._cols[np.bincount(base, minlength=utility.n)[utility._owner] > 0]] = False
 
@@ -216,8 +217,8 @@ class BudgetAdditiveUtility(_Additive):
         self.k = _budget(k, "cap normalizer k")
         self._w_max = float(self.weights.max())
 
-    def _gain_state(self, base=()):
-        return _BudgetGains(self, base)
+    def _gain_state(self, base=(), run=None):
+        return _BudgetGains(self, base, run)
 
 
 class _BudgetGains(_AdditiveGains):
@@ -260,14 +261,14 @@ class _BudgetGains(_AdditiveGains):
             if not count:
                 return None
             if self.capped:
-                self.utility._queries.add(count)
+                self.run.add(count)
                 return int(mask.argmax()), 0.0, pos, None
             order = self.utility._order
             pos = _walk(order, min_dist, floor, pos)
             t = order.item(pos)
             gain = self._gain(t)
             if count == 1 or self._gain(order.item(_walk(order, min_dist, floor, pos + 1))) != gain:
-                self.utility._queries.add(count)
+                self.run.add(count)
                 return t, gain, pos, None
         return super().pick(min_dist, floor, pos)
 

@@ -28,8 +28,9 @@ from divsel import (
     simple_baseline,
     utilities,
 )
-from divsel.core import SCHEDULES, QueryCounter, _GainState, _thresholds
-from support import METRIC_STYLES, every_kind, integer_cases, make_utility, random_metric_instance
+from divsel.cli import SOLVERS
+from divsel.core import SCHEDULES, QueryCounter, _GainState, _Run, _thresholds
+from support import METRIC_STYLES, counted, every_kind, integer_cases, make_utility, random_metric_instance
 
 ALGORITHM_RUNS = [
     ("gist", lambda p: gist(p)),
@@ -399,7 +400,8 @@ def test_chain_solvers_report_the_exact_linear_sum():
 
 def test_gist_builds_one_sweep_state_and_the_pairs(monkeypatch):
     # every sweep path carries its own state, a branch a copy of its parent's: one gist
-    # call builds the root's state and, for its g, the diametrical pair's, and no other
+    # call builds the root's state and, for its g, the diametrical pair's, and no other.
+    # Both count into the call's one run, whose count is the call's oracle_calls
     rng = np.random.default_rng(17)
     points, weights = rng.standard_normal((40, 2)), rng.uniform(0, 1, 40)
     family = [rng.choice(30, size=int(rng.integers(1, 8)), replace=False).tolist() for _ in range(40)]
@@ -407,16 +409,19 @@ def test_gist_builds_one_sweep_state_and_the_pairs(monkeypatch):
     built = []
     for utility, state_class in ((CoverageUtility(family), utilities._CoverageGains),
                                  (BudgetAdditiveUtility(weights, 0.95, 0.75, 8), utilities._BudgetGains)):
-        def counted_init(self, utility, base=(), init=state_class.__init__):
-            built.append(tuple(base))
-            init(self, utility, base)
+        def counted_init(self, utility, base=(), run=None, init=state_class.__init__):
+            built.append((tuple(base), run))
+            init(self, utility, base, run)
 
         # on the class itself: a subclass would not read the kind's _bounded
         monkeypatch.setattr(state_class, "__init__", counted_init)
         for schedule in ("geometric", "exhaustive"):
             built.clear()
-            gist(Problem(instance, utility, lam=0.05, k=8, schedule=schedule))
-            assert built == [(), instance.diametrical_pair()], (utility.kind, schedule)
+            sol = gist(Problem(instance, utility, lam=0.05, k=8, schedule=schedule))
+            (root, run), (pair, pair_run) = built
+            assert [root, pair] == [(), instance.diametrical_pair()], (utility.kind, schedule)
+            assert type(run) is _Run and pair_run is run, (utility.kind, schedule)
+            assert run.count == sol.oracle_calls > 0, (utility.kind, schedule)
 
 
 def test_greedy_independent_set_reads_no_g(monkeypatch):
@@ -433,16 +438,28 @@ def test_greedy_independent_set_reads_no_g(monkeypatch):
 
 
 def test_only_gain_states_count_queries(monkeypatch):
-    # every query is counted by a gain state's gains, pick or value: never by a solver or a public entry
-    callers = []
-    add = QueryCounter.add
+    # every query is counted by a gain state's gains, pick or value: never by a solver or a
+    # public entry.  A solver call's states count into its run, which adds its total to the
+    # utility's counter once, when the call ends; a public entry's state adds its count to the
+    # utility's counter itself, once per call
+    callers, totals = [], []
 
-    def traced(self, amount=1):
-        frame = sys._getframe(1)
-        callers.append((type(frame.f_locals.get("self")), frame.f_code.co_name))
-        add(self, amount)
+    def traced(add, log):
+        def traced_add(self, amount=1):
+            frame = sys._getframe(1)
+            log.append((type(frame.f_locals.get("self")), frame.f_code.co_name))
+            add(self, amount)
+        return traced_add
 
-    monkeypatch.setattr(QueryCounter, "add", traced)
+    monkeypatch.setattr(_Run, "add", traced(_Run.add, callers))
+    monkeypatch.setattr(QueryCounter, "add", traced(QueryCounter.add, totals))
+
+    def adds(call, *args):
+        """The adds to the utility's counter that ``call(*args)`` makes."""
+        start = len(totals)
+        call(*args)
+        return totals[start:]
+
     rng = np.random.default_rng(31)
     for n, k in ((1, 1), (2, 2), (7, 3)):
         instance = random_metric_instance(rng, n, "euclidean")
@@ -450,11 +467,13 @@ def test_only_gain_states_count_queries(monkeypatch):
             for schedule in SCHEDULES:
                 problem = Problem(instance, utility, lam=0.3, k=k, epsilon=0.2, schedule=schedule)
                 for _, run in ALGORITHM_RUNS:
-                    run(problem)
-            greedy_independent_set(instance, utility, instance.d_max / 3, k)
-            utility.evaluate([n - 1])
-            utility.marginal(0, range(1, n))
-            utility.batch_marginal(range(n - 1), [n - 1])
+                    assert adds(run, problem) == [(_Run, "end")], kind
+            assert adds(greedy_independent_set, instance, utility, instance.d_max / 3, k) == [(_Run, "end")]
+            for call, args, name in ((utility.evaluate, ([n - 1],), "value"),
+                                     (utility.marginal, (0, range(1, n)), "gains"),
+                                     (utility.batch_marginal, (range(n - 1), [n - 1]), "gains")):
+                (state, counted_by), = adds(call, *args)
+                assert issubclass(state, _GainState) and counted_by == name, kind
     assert callers
     assert {(c, name) for c, name in callers
             if not (issubclass(c, _GainState) and name in ("gains", "pick", "value"))} == set()
@@ -499,8 +518,9 @@ def test_threads_share_one_cosine_instance():
     rng = np.random.default_rng(0)
     points, weights = rng.standard_normal((300, 16)), rng.uniform(0.0, 1.0, 300)
 
-    def problems(inst):  # a utility each: one shared utility counts every thread's queries
-        return [Problem(inst, LinearUtility(weights), lam=0.3, k=8, schedule=s) for s in SCHEDULES * 2]
+    def problems(inst):  # one utility, shared as the instance is
+        utility = LinearUtility(weights)
+        return [Problem(inst, utility, lam=0.3, k=8, schedule=s) for s in SCHEDULES * 2]
 
     solo = [gist(p) for p in problems(Instance.from_cosine(points))]
     interval = sys.getswitchinterval()
@@ -523,3 +543,41 @@ def test_threads_share_one_cosine_instance():
             assert got == solo
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_threads_sharing_one_utility_each_count_their_own_queries():
+    # every cli.SOLVERS entry, greedy_independent_set and evaluate run in threads that share
+    # one instance and one utility: each returns its solo output, oracle_calls included, and
+    # the utility's count rises by exactly the sum of the solo counts
+    rng = np.random.default_rng(53)
+    n, k = 90, 9
+    instance = Instance.from_euclidean(rng.standard_normal((n, 3)))
+    family = [rng.choice(40, size=int(rng.integers(1, 8)), replace=False).tolist() for _ in range(n)]
+    for utility in (BudgetAdditiveUtility(rng.uniform(0, 1, n), 0.95, 0.75, k), CoverageUtility(family)):
+        problem = Problem(instance, utility, lam=0.5, k=k)
+        calls = [lambda run=run: run(problem, 3) for run in SOLVERS.values()]
+        calls += [lambda: greedy_independent_set(instance, utility, instance.d_max / 4, k),
+                  lambda: utility.evaluate(range(0, n, 7))]
+        solo = [counted(utility, call) for call in calls]
+        for result, queries in solo:
+            assert not isinstance(result, Solution) or result.oracle_calls == queries, utility.kind
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                got, start, before = [None] * len(calls), threading.Barrier(len(calls)), utility.query_count
+
+                def run_call(i):
+                    start.wait(timeout=60)
+                    got[i] = calls[i]()
+
+                threads = [threading.Thread(target=run_call, args=(i,)) for i in range(len(calls))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert got == [result for result, _ in solo], utility.kind
+                assert utility.query_count - before == sum(queries for _, queries in solo), utility.kind
+        finally:
+            sys.setswitchinterval(interval)

@@ -25,7 +25,7 @@ from divsel import (
     objective,
 )
 from divsel.core import DENSE_MAX_BYTES
-from support import METRIC_STYLES, integer_cases, random_metric_instance
+from support import METRIC_STYLES, cosine_points, integer_cases, random_metric_instance
 
 
 def collinear_instance():
@@ -278,13 +278,50 @@ def test_div_rejects_bad_indices():
 
 
 def test_dist_rejects_bad_indices():
+    # distance_row takes dist's rule: -1 is no last row, True no boolean mask
     inst = collinear_instance()
     for i, j in ((0.5, 1), (0, float("nan")), (float("inf"), 0), ("1", 0), (True, False)):
         with pytest.raises(InputError, match="must be integers"):
             inst.dist(i, j)
-    with pytest.raises(InputError, match="out of range"):
-        inst.dist(0, 3)
+    for i in (0.5, float("nan"), float("inf"), "1", True, np.True_):
+        with pytest.raises(InputError, match="must be integers"):
+            inst.distance_row(i)
+    for i in (-1, 3):
+        with pytest.raises(InputError, match="out of range"):
+            inst.dist(0, i)
+        with pytest.raises(InputError, match="out of range"):
+            inst.distance_row(i)
     assert inst.dist(0.0, np.int64(2)) == 2.0
+    assert inst.distance_row(2.0).tolist() == inst.distance_row(np.int64(2)).tolist() == [2.0, 1.0, 0.0]
+
+
+def test_dist_div_and_objective_read_held_gram_rows(monkeypatch):
+    # after a geometric solve a cosine instance holds Gram rows: dist, div, objective and
+    # distance_row read them without the dense matrix, with the bits of an instance whose
+    # dense matrix came first
+    rng = np.random.default_rng(37)
+    for kind in ("gaussian", "ties"):
+        points, weights = cosine_points(rng, 120, 8, kind), rng.uniform(0.0, 1.0, 120)
+        dense, held = Instance.from_cosine(points), Instance.from_cosine(points)
+        dense.distance_matrix()
+        gist(Problem(held, LinearUtility(weights), lam=0.3, k=6))
+        assert not isinstance(held._rows(), np.ndarray)  # Gram rows, no dense matrix
+
+        def refuse(self):
+            raise AssertionError("dense distance matrix built")
+
+        def read(inst, s):
+            problem = Problem(inst, LinearUtility(weights), lam=0.3, k=6)
+            return [x.hex() for x in (div(inst, s), *objective(problem, s))]
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Instance, "distance_matrix", refuse)
+            for size in (0, 1, 2, 3, 7, 20):
+                s = rng.choice(120, size=size, replace=False).tolist()
+                assert read(held, s) == read(dense, s), (kind, s)
+            for i, j in rng.integers(0, 120, (40, 2)).tolist() + [(5, 5)]:
+                assert held.dist(i, j).hex() == dense.dist(i, j).hex(), (kind, i, j)
+                assert held.distance_row(i).tobytes() == dense.distance_row(i).tobytes(), (kind, i)
 
 
 def test_div_monotone_non_increasing_under_inclusion():

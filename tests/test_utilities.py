@@ -10,15 +10,18 @@ from divsel import (
     ConstantZeroUtility,
     CoverageUtility,
     InputError,
+    Instance,
     LinearUtility,
     MarginSimilarityUtility,
     Problem,
     SubmodularityWitness,
     TabulatedUtility,
     check_monotone_submodular,
+    div,
     gen_nonsubmodular_example,
     objective,
 )
+from divsel.core import _Run
 from divsel.utilities import _BudgetGains, _FixedGains
 from support import (
     every_kind,
@@ -143,6 +146,23 @@ def test_non_integral_indices_are_rejected():
         assert util.batch_marginal([ok], [0]).tolist() == [0.3]
 
 
+def test_out_of_range_indices_are_rejected_by_one_rule():
+    # every public entry checks an index's range the same way, one beyond 64 bits included
+    util = LinearUtility([0.1, 0.2, 0.3])
+    inst = Instance.from_euclidean([[0.0], [1.0], [3.0]])
+    for bad in (-1, 3, 2**70, -2**70):
+        for call in (lambda: util.evaluate([0, bad]),
+                     lambda: util.batch_marginal([bad], [0]),
+                     lambda: util.batch_marginal([1], [bad]),
+                     lambda: util.marginal(bad, [0]),
+                     lambda: div(inst, [0, bad]),
+                     lambda: inst.dist(0, bad),
+                     lambda: inst.distance_row(bad)):
+            with pytest.raises(InputError, match="index out of range for ground set of size 3"):
+                call()
+    assert util.query_count == 0
+
+
 def test_query_count_accounting():
     util = coverage_example()
     start = util.query_count
@@ -257,7 +277,8 @@ def _matches_rebuild(state, util, base):
 @pytest.mark.parametrize("kind", ["coverage", "sparse", "budget", "tabulated", "margin", "fixed"])
 def test_gain_state_copy_grows_apart_from_its_original(kind):
     # a copy taken mid-run and the original grow along different points; each stays the
-    # state of its own selection, and the copy's growth leaves the original as it was
+    # state of its own selection, and the copy's growth leaves the original as it was.  The
+    # copy counts into the original's run
     rng = np.random.default_rng(sum(map(ord, kind)) + 3)
     for _ in range(40):
         n = int(rng.integers(2, 12))
@@ -278,12 +299,14 @@ def test_gain_state_copy_grows_apart_from_its_original(kind):
         order = [int(v) for v in rng.permutation(n)]
         cut = int(rng.integers(0, n - 1))
         base, mine, theirs = order[:cut], order[cut::2], order[cut + 1::2]
-        state = _FixedGains(util) if kind == "fixed" else util._gain_state()
+        run = _Run(util)
+        state = _FixedGains(util, run) if kind == "fixed" else util._gain_state((), run)
         for v in base:
             state.add(v)
         twin = state.copy()
+        assert twin.run is run
         if kind == "fixed":  # it serves the utility's one read-only weight array, never a copy
-            assert vars(twin).keys() == {"utility", "units"} and not util.weights.flags.writeable
+            assert vars(twin).keys() == {"utility", "run", "units"} and not util.weights.flags.writeable
         for v in theirs:
             twin.add(v)
             _matches_rebuild(state, util, base)
@@ -295,31 +318,32 @@ def test_gain_state_copy_grows_apart_from_its_original(kind):
 
 def test_every_gain_state_counts_one_query_per_value_and_per_candidate():
     # value() counts one query, gains(cand) cand.size and pick one per candidate of its step
-    # (min_dist >= floor; a selected point carries -1), on each kind's state; a _FixedGains
-    # counts every point's gain once, when built, and no gain or pick afterwards.  The pick
-    # is the argmax of the candidates' gains, ties to the lowest index
+    # (min_dist >= floor; a selected point carries -1), on each kind's state, into the run it
+    # was built with; a _FixedGains counts every point's gain once, when built, and no gain or
+    # pick afterwards.  The utility's own count waits for the run's end.  The pick is the
+    # argmax of the candidates' gains, ties to the lowest index
     rng = np.random.default_rng(23)
     for n in (1, 2, 7):
         for kind, util in every_kind(rng, n, 3).items():
             for fixed in (False, True) if kind in ("linear", "zero") else (False,):
-                before = util.query_count
-                state = _FixedGains(util) if fixed else util._gain_state()
-                assert util.query_count - before == (n if fixed else 0), kind
+                run, lifetime = _Run(util), util.query_count
+                state = _FixedGains(util, run) if fixed else util._gain_state((), run)
+                assert run.count == (n if fixed else 0), kind
                 order = [int(v) for v in rng.permutation(n)]
                 min_dist = rng.uniform(0.0, 2.0, n)
                 for i, v in enumerate(order):
                     rest = np.array(order[i:], dtype=np.intp)
-                    before = util.query_count
+                    before = run.count
                     gains = state.gains(rest)
-                    assert util.query_count - before == (0 if fixed else rest.size), (kind, fixed)
+                    assert run.count - before == (0 if fixed else rest.size), (kind, fixed)
                     state.value()
-                    assert util.query_count - before == (1 if fixed else rest.size + 1), (kind, fixed)
+                    assert run.count - before == (1 if fixed else rest.size + 1), (kind, fixed)
                     floor = float(np.sort(min_dist[rest])[rest.size // 2])  # half the rest, or more
                     cand = np.flatnonzero(min_dist >= floor)
-                    before = util.query_count
+                    before = run.count
                     t, gain, _, picked = state.pick(min_dist, floor, 0)
-                    assert util.query_count - before == (0 if fixed else cand.size), (kind, fixed)
-                    assert type(util.query_count) is int, kind  # no numpy integer
+                    assert run.count - before == (0 if fixed else cand.size), (kind, fixed)
+                    assert type(run.count) is int, kind  # no numpy integer
                     expected = gains[np.argsort(rest)][np.isin(np.sort(rest), cand)]
                     top = expected.argmax()
                     assert (t, gain.hex()) == (int(cand[top]), expected[top].hex()), kind
@@ -328,6 +352,8 @@ def test_every_gain_state_counts_one_query_per_value_and_per_candidate():
                     state.add(v)
                     min_dist[v] = -1.0
                 assert state.pick(min_dist, 0.0, 0) is None, kind
+                assert util.query_count == lifetime, kind
+                assert run.end(kind) == kind and util.query_count == lifetime + run.count, kind
 
 
 @pytest.mark.parametrize("make", [random_coverage_utility, sparse_coverage_utility])
@@ -463,8 +489,11 @@ def test_a_subclass_has_only_the_capabilities_it_states():
         deeper = type("Deeper", (restated,), {})
         assert (deeper._fixed, deeper._bounded) == (False, False), kind
     sub = type("Sub", (LinearUtility,), {})([0.5, 0.25])
-    assert type(sub._sweep_state()) is not _FixedGains
-    assert type(LinearUtility([0.5, 0.25])._sweep_state()) is _FixedGains
+    linear = LinearUtility([0.5, 0.25])
+    for utility, fixed in ((sub, False), (linear, True)):  # the sweep's state counts into its run
+        run = _Run(utility)
+        state = utility._sweep_state(run)
+        assert (type(state) is _FixedGains, state.run, run.count) == (fixed, run, 2 if fixed else 0)
 
 
 def test_a_zero_utility_of_any_size_holds_one_zero():
