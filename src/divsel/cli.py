@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, algorithms, formats, oracle
-from .core import Instance, Problem, Solution, _unit_rows
+from .core import Instance, Problem, Solution, _indices, _unit_rows
 from .errors import FormatError, InputError, SizeGuardError
 from .utilities import LinearUtility, MarginSimilarityUtility
 
@@ -338,12 +338,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         beta_s = alpha * args.beta_s
         if args.edges:
             pairs = formats.load_edge_pairs(args.edges)
-            edge_list = []
-            for i, j in pairs:
-                if not (0 <= i < n and 0 <= j < n):
-                    raise InputError(f"edge ({i}, {j}) out of range")
-                sim = float(np.clip(unit[i] @ unit[j], -1.0, 1.0))
-                edge_list.append((i, j, sim))
+            edge_list = [(i, j, float(np.clip(unit[i] @ unit[j], -1.0, 1.0)))
+                         for i, j in (_indices(e, "edge", n) for e in pairs)]
             utility = MarginSimilarityUtility(
                 uncertainty, edges=edge_list, alpha_s=alpha_s, beta_s=beta_s
             )

@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Instance, Problem, UtilityOracle, _budget, integral
+from .core import Instance, Problem, UtilityOracle, _budget, _indices, integral
 from .errors import InputError
 from .utilities import (
     BudgetAdditiveUtility,
@@ -58,11 +58,9 @@ class Graph:
         canon = []
         seen = set()
         for e in edges:
-            u, v = integral(e[0], "edge endpoint"), integral(e[1], "edge endpoint")
+            u, v = _indices((e[0], e[1]), "edge endpoint", n)
             if u == v:
                 raise InputError(f"self-loop on node {u} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) out of range for n={n}")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise InputError(f"duplicate edge {key}")

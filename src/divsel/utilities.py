@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import UtilityOracle, _BOOLS, _GainState, _budget, _float_array, _real, integral
+from .core import UtilityOracle, _BOOLS, _GainState, _budget, _float_array, _indices, _real, integral
 from .errors import InputError
 
 
@@ -121,31 +121,36 @@ class _FixedGains(_AdditiveGains):
 
 class CoverageUtility(UtilityOracle):
     """g(S) = size of the union of the element sets attached to the chosen points.  Beside its
-    CSR arrays it derives ``_el_len``, points per element, and ``_counts``, elements per point."""
+    CSR arrays, point -> element columns, it derives ``_counts``, elements per point, and the
+    points that share each column: the co-holder index (``_nb_ptr``, ``_nb_pts``, and
+    ``_nb_len``, the holders of each column) when it has at most n**2 entries (the sum over
+    elements of holders squared), no more than the n x n distances of a solve; else the
+    element -> points arrays ``_el_ptr``, ``_el_pts`` and ``_el_len``."""
 
     kind = "coverage"
     _bounded = True
 
     def __init__(self, family: Sequence[Iterable[int]], universe_size: int | None = None):
-        family = [list(f) for f in family]
+        ids = family = [list(f) for f in family]
+        types = set(map(type, itertools.chain.from_iterable(family)))
+        if not types <= {int}:  # the rule of ``integral``, as ``core._indices`` keeps it
+            try:
+                ids = [list(map(int, f)) for f in family]
+            except (TypeError, ValueError, OverflowError):  # None, "a", NaN, inf
+                ids = None
+            if ids != family or types & _BOOLS:
+                raise InputError("each coverage element id must be an integer")
+        if not ids:
+            raise InputError("coverage family must be nonempty")
         try:
-            ids = [list(map(int, f)) for f in family]
             flat = np.fromiter(itertools.chain.from_iterable(ids), np.int64)
         except OverflowError as exc:
             raise InputError(f"coverage element ids must fit in 64 bits: {exc}") from exc
-        # the rule of ``integral``, at C speed: each id equals an int and is no bool
-        if ids != family or not _BOOLS.isdisjoint(map(type, itertools.chain.from_iterable(family))):
-            raise InputError("each coverage element id must be an integer")
-        if not ids:
-            raise InputError("coverage family must be nonempty")
-        # each point's distinct ids, ascending: one sort by (point, id), repeats dropped
-        owner = np.repeat(np.arange(len(ids)), [len(f) for f in ids])
-        order = np.lexsort((flat, owner))
-        flat, owner = flat[order], owner[order]
-        first = np.ones(flat.size, dtype=bool)
-        first[1:] = (flat[1:] != flat[:-1]) | (owner[1:] != owner[:-1])
-        # CSR arrays: point -> element columns (ids compacted by np.unique), element -> points
-        self._ids, self._cols = np.unique(flat[first], return_inverse=True)
+        # CSR arrays, point -> element columns (ids compacted by np.unique): each point's
+        # distinct columns, ascending, from one sort of (point, column) keys, repeats dropped
+        self._ids, col = np.unique(flat, return_inverse=True)
+        key = np.sort(np.repeat(np.arange(len(ids)), [len(f) for f in ids]) * self._ids.size + col)
+        owner, self._cols = np.divmod(key[np.diff(key, prepend=-1) != 0], self._ids.size)
         universe_size = integral(
             self._ids.size if universe_size is None else universe_size, "universe_size")
         if universe_size < self._ids.size:
@@ -153,11 +158,18 @@ class CoverageUtility(UtilityOracle):
                              f"family ({self._ids.size} elements)")
         super().__init__(len(ids), monotone_declared=True, submodular_declared=True)
         self.universe_size = universe_size
-        self._owner = owner[first]  # point of each column
-        self._ptr = np.concatenate(([0], np.cumsum(np.bincount(self._owner, minlength=self.n))))
-        self._el_ptr = np.cumsum(np.bincount(self._cols + 1, minlength=self._ids.size + 1))
-        self._el_pts = self._owner[np.argsort(self._cols, kind="stable")]
-        self._el_len, self._counts = np.diff(self._el_ptr), np.diff(self._ptr).astype(np.float64)
+        self._owner = owner.astype(np.min_scalar_type(self.n))  # point of each column
+        self._ptr = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=self.n))))
+        self._counts = np.diff(self._ptr).astype(np.float64)
+        el_ptr = np.cumsum(np.bincount(self._cols + 1, minlength=self._ids.size + 1))
+        el_pts, el_len = np.sort(self._cols * self.n + owner) % self.n, np.diff(el_ptr)  # by column
+        if el_len @ el_len > self.n ** 2:  # the co-holder index would outgrow n x n
+            self._nb_ptr, self._el_ptr, self._el_pts, self._el_len = None, el_ptr, el_pts, el_len
+            return
+        lens = el_len[self._cols]  # row v: for each column of v in turn, the points holding it
+        self._nb_pts = el_pts.astype(self._owner.dtype)[_ranges(el_ptr[self._cols], lens)]
+        self._nb_len = lens.astype(self._owner.dtype)
+        self._nb_ptr = np.concatenate(([0], lens.cumsum()))[self._ptr]
 
     @property
     def family(self) -> tuple[frozenset[int], ...]:
@@ -167,10 +179,17 @@ class CoverageUtility(UtilityOracle):
         return _CoverageGains(self, base, run)
 
 
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The ranges [s, s + l) of each start s and length l, end to end, as one index."""
+    ends = lens.cumsum()
+    return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if ends.size else 0)
+
+
 class _CoverageGains(_GainState):
     """Each point's count of uncovered elements, ``gain``, built when ``_gains`` first needs
     it (None until then, so a state only asked ``value`` marks ``uncovered`` alone), then
-    less one per element ``add`` covers.  The counts are integers, exact either way."""
+    less one per element ``add`` covers, by one bincount of the added point's co-holder row
+    or, without the index, of the new elements' rows.  Integer counts, exact either way."""
 
     def __init__(self, utility: CoverageUtility, base=(), run=None):
         self.utility, self.run, self.gain = utility, run or utility._queries, None
@@ -189,15 +208,17 @@ class _CoverageGains(_GainState):
 
     def add(self, v):
         u = self.utility
-        cols = u._cols[u._ptr[v]:u._ptr[v + 1]]
-        new = cols[self.uncovered[cols]]
-        if new.size:  # each point loses one per new element it holds: one index over their rows
-            self.uncovered[new] = False
-            if self.gain is not None:
-                lens = u._el_len[new]
-                ends = lens.cumsum()
-                rows = np.repeat(u._el_ptr[new] - ends + lens, lens) + np.arange(ends[-1])
-                self.gain -= np.bincount(u._el_pts[rows], minlength=u.n)
+        p, q = u._ptr[v], u._ptr[v + 1]
+        cols = u._cols[p:q]
+        fresh = self.uncovered[cols]
+        self.uncovered[cols] = False
+        if self.gain is not None:  # each point loses one per fresh column it holds
+            if u._nb_ptr is None:  # the fresh elements' rows, one multi-range index
+                new = cols[fresh]
+                pts = u._el_pts[_ranges(u._el_ptr[new], u._el_len[new])]
+            else:  # v's co-holder row, the segments of its fresh columns
+                pts = u._nb_pts[u._nb_ptr[v]:u._nb_ptr[v + 1]][fresh.repeat(u._nb_len[p:q])]
+            self.gain -= np.bincount(pts, minlength=u.n)
 
 
 class BudgetAdditiveUtility(_Additive):
@@ -336,11 +357,9 @@ class MarginSimilarityUtility(UtilityOracle):
             seen: set[tuple[int, int]] = set()
             canon = []
             for i, j, sval in edges:
-                i, j = integral(i, "edge index"), integral(j, "edge index")
+                i, j = _indices((i, j), "similarity edge", self.n)
                 if i == j:
                     raise InputError("similarity edges must join distinct points")
-                if not (0 <= i < self.n and 0 <= j < self.n):
-                    raise InputError("similarity edge index out of range")
                 if not (_real(sval) and -1.0 <= sval <= 1.0):  # NaN fails too
                     raise InputError(f"similarities must be numbers in [-1, 1], got {sval!r}")
                 sval = float(sval)

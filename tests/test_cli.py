@@ -155,6 +155,8 @@ def test_non_integral_integers_are_rejected(tmp_path):
                       ({"kind": "constant_zero", "n": 3.7}, 3),
                       ({"kind": "constant_zero", "n": math.inf}, 3),
                       ({"kind": "constant_zero", "n": math.nan}, 3),
+                      ({"kind": "coverage", "family": [[None], [1], [2]]}, 3),  # no ids
+                      ({"kind": "coverage", "family": [["a"], [1], [2]]}, 3),
                       ({"kind": "coverage", "family": [[1.0], [1], [2.0]]}, 0),
                       ({"kind": "constant_zero", "n": 3.0}, 0)):
         util.write_text(json.dumps(doc))
@@ -167,7 +169,7 @@ def test_non_integral_integers_are_rejected(tmp_path):
     emb, edges = tmp_path / "emb.jsonl", tmp_path / "edges.json"
     write_embeddings(emb, [{"embedding": v, "uncertainty": 0.5}
                            for v in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])])
-    for pairs, code in (([[0.7, 1.2]], 2), ([[0.0, 1.0]], 0)):
+    for pairs, code in (([[0.7, 1.2]], 2), ([[0.0, 1.0]], 0), ([[0, 3]], 3), ([[-1, 0]], 3)):
         edges.write_text(json.dumps(pairs))
         assert run("ingest", "--embeddings", emb, "--utility", "margin_similarity",
                    "--edges", edges, "--k", 2, "--out", tmp_path / "sel.json") == code, pairs

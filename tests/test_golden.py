@@ -20,10 +20,16 @@ cosine grid instead, kept out of both digests, for diffing two checkouts on
 one machine: every solver on both schedules, ``greedy_independent_set`` at
 three floors, ``d_max`` with its pair, and a hash of every distance row the
 solvers read, on a fresh instance and on one whose dense matrix came first.
+``--dump FILE --coverage`` writes a coverage grid, also kept out of both digests:
+families like the benchmark's ``coverage-gains`` (universe 800, sets of 5 to 30
+ids) and overlapping ones on either side of the co-holder index's n**2 rule, each
+with ``evaluate`` and ``batch_marginal``, every solver on both schedules and
+``greedy_independent_set`` at three floors.
 """
 
 import argparse
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -181,10 +187,40 @@ def cosine_records():
                     yield "rows", row_hash(inst)
 
 
-def dump(path, cosine=False):
-    """Write every record of both digests, or of the cosine grid, to ``path``, one per line."""
-    sources = (("cosine", cosine_records()),) if cosine else (
-        ("golden", records()), ("exact", exact_records()))
+def coverage_families(rng, n):
+    """A family like the benchmark's, one overlapping family sparse enough for the co-holder
+    index (on average 0.64 n**2 entries and up) and one too dense for it (about 2 n**2)."""
+    yield [rng.choice(800, int(rng.integers(5, 31)), replace=False).tolist() for _ in range(n)], 800
+    yield [np.flatnonzero(rng.random(16) < 0.2).tolist() for _ in range(n)], 16
+    yield [np.flatnonzero(rng.random(15) < 0.35).tolist() for _ in range(n)], 15
+
+
+def coverage_records():
+    for n, rep in itertools.product((10, 20, 50, 100, 150, 300), (0, 1)):
+        rng = np.random.default_rng([n, 800, rep])
+        inst = Instance.from_euclidean(rng.standard_normal((n, 8)))
+        for family, universe in coverage_families(rng, n):
+            util = CoverageUtility(family, universe)
+            k = int(rng.integers(1, min(n, 60) + 1))
+            lam = float(rng.choice([0.0, 0.05, 0.5, 3.0]))
+            base = [int(i) for i in np.flatnonzero(rng.random(n) < 0.1)]
+            cand = [v for v in range(n) if v not in base]
+            yield util.evaluate(base).hex(), util.batch_marginal(cand, base).tobytes().hex()
+            for schedule in ("geometric", "exhaustive"):
+                problem = Problem(inst, util, lam=lam, k=k, epsilon=0.2, schedule=schedule)
+                for sol in (gist(problem), simple_baseline(problem),
+                            classic_greedy(problem), random_baseline(problem, seed=3)):
+                    yield solution_fields(sol)
+            for d in (0.0, inst.d_max / 4.0, inst.d_max / 2.0):
+                yield greedy_independent_set(inst, util, d, k)
+
+
+def dump(path, cosine=False, coverage=False):
+    """Write every record of both digests, or of the cosine or coverage grid, to ``path``,
+    one per line."""
+    sources = ((("cosine", cosine_records()),) if cosine else
+               (("coverage", coverage_records()),) if coverage else
+               (("golden", records()), ("exact", exact_records())))
     with open(path, "w") as fh:
         for name, recs in sources:
             for i, record in enumerate(recs):
@@ -196,5 +232,7 @@ if __name__ == "__main__":
     parser.add_argument("--dump", metavar="FILE", required=True)
     parser.add_argument("--cosine", action="store_true",
                         help="dump the same-machine cosine grid instead of the digests' records")
+    parser.add_argument("--coverage", action="store_true",
+                        help="dump the same-machine coverage grid instead of the digests' records")
     args = parser.parse_args()
-    dump(args.dump, args.cosine)
+    dump(args.dump, args.cosine, args.coverage)

@@ -247,22 +247,120 @@ def per_set_csr(family):
     ptr = np.cumsum([0] + [c.size for c in sets])
     owner = np.repeat(np.arange(len(sets)), np.diff(ptr))
     el_ptr = np.cumsum(np.bincount(cols + 1, minlength=ids.size + 1))
-    return ids, cols, ptr, owner, el_ptr, owner[np.argsort(cols, kind="stable")]
+    return (ids, cols, ptr, owner.astype(np.min_scalar_type(len(sets))), el_ptr,
+            owner[np.argsort(cols, kind="stable")])
+
+
+def co_holder_index(family):
+    """The co-holder index built point by point: for each of a set's distinct ids, ascending,
+    every set that holds it; then the row offsets, the holders and each id's holder count."""
+    sets = [sorted(set(f)) for f in family]
+    ptr, pts, lens = [0], [], []
+    for s in sets:
+        for e in s:
+            holders = [w for w, t in enumerate(sets) if e in t]
+            pts += holders
+            lens.append(len(holders))
+        ptr.append(len(pts))
+    small = np.min_scalar_type(len(sets))
+    return np.array(ptr, np.int64), np.array(pts, small), np.array(lens, small)
 
 
 def test_coverage_csr_matches_per_set_unique():
-    # repeated ids within a set, empty sets, the int64 extremes and random families
+    # repeated ids within a set, empty sets, the int64 extremes and random families.  A
+    # family keeps the co-holder index when that has at most n**2 entries, else the
+    # element -> points arrays; both sides are reached
     families = [[[3, 1, 3, 2], [], [2, 2], [7]], [[]], [[], []], [[5, 5, 5]],
                 [[2**63 - 1, -2**63, 0], [0, -2**63]]]
     rng = np.random.default_rng(41)
     for _ in range(40):
         families.append([rng.integers(-4, 12, int(rng.integers(0, 9))).tolist()
                          for _ in range(int(rng.integers(1, 10)))])
+    sides = set()
     for family in families:
         util = CoverageUtility(family)
-        got = (util._ids, util._cols, util._ptr, util._owner, util._el_ptr, util._el_pts)
-        for a, b in zip(got, per_set_csr(family), strict=True):
+        ids, cols, ptr, owner, el_ptr, el_pts = per_set_csr(family)
+        el_len = np.diff(el_ptr)
+        indexed = util._nb_ptr is not None
+        assert indexed == (int(el_len @ el_len) <= len(family) ** 2), family
+        got, want = [util._ids, util._cols, util._ptr, util._owner], [ids, cols, ptr, owner]
+        if indexed:
+            got += [util._nb_ptr, util._nb_pts, util._nb_len]
+            want += co_holder_index(family)
+            assert not hasattr(util, "_el_pts"), family
+        else:
+            got += [util._el_ptr, util._el_pts, util._el_len]
+            want += [el_ptr, el_pts, el_len]
+        sides.add(indexed)
+        for a, b in zip(got, want, strict=True):
             assert (a.dtype, a.tolist()) == (b.dtype, b.tolist()), family
+    assert sides == {False, True}
+
+
+def uncovered_counts(family, chosen):
+    """Each point's count of distinct ids that no point of ``chosen`` holds, by Python sets."""
+    covered = set().union(*(family[v] for v in chosen))
+    return [float(len(set(f) - covered)) for f in family]
+
+
+def assert_counts(state, family, chosen):
+    cand = np.array([v for v in range(len(family)) if v not in chosen], dtype=np.intp)
+    plain = uncovered_counts(family, chosen)
+    assert list(map(float.hex, state.gains(cand).tolist())) == \
+        [plain[v].hex() for v in cand.tolist()], (family, chosen)
+
+
+@pytest.mark.parametrize("side", ["sparse", "overlapping"])
+def test_coverage_gains_match_plain_counts_on_both_sides_of_the_index_rule(side):
+    # sparse families (sets of up to 6 ids from a pool of 4n, so some overlap) keep the
+    # co-holder index, overlapping ones (at most 15 ids) the element rows.  Both carry empty
+    # sets, repeated ids, negative ids and 2**40.  After every add of a random order, on a
+    # state that built its gains first or lazily and on copies grown apart, the gains are by
+    # float.hex those of a state rebuilt from its base and a per-point count of uncovered ids
+    rng = np.random.default_rng(1 if side == "sparse" else 2)
+    special = [-7, -1, 0, 2**40]
+    for _ in range(30):
+        if side == "sparse":
+            n = int(rng.integers(10, 20))
+            pool = rng.choice(10**6, 4 * n, replace=False)
+            family = [rng.choice(pool, int(rng.integers(0, 7))).tolist() for _ in range(n)]
+            for i, e in enumerate(special):  # each twice, in one set
+                family[(3 * i + 1) % n] += [e, e]
+        else:
+            n = int(rng.integers(3, 12))
+            pool = np.array(special + list(range(1, int(rng.integers(3, 12)))))
+            family = [[] if v % 4 == 0 else rng.choice(pool, 2 * pool.size).tolist()
+                      for v in range(n)]
+        util = CoverageUtility(family)
+        assert (util._nb_ptr is not None) == (side == "sparse"), family
+        state, chosen = util._gain_state(), []
+        if rng.random() < 0.5:
+            assert_counts(state, family, chosen)
+        for v in rng.permutation(n).tolist()[:n - 1]:
+            if rng.random() < 0.3:  # a copy grown along the rest in another order
+                twin, grown = state.copy(), list(chosen)
+                for w in [w for w in rng.permutation(n).tolist() if w not in chosen][:-1]:
+                    twin.add(w)
+                    grown.append(w)
+                    assert_counts(twin, family, grown)
+                    _matches_rebuild(twin, util, grown)
+            state.add(v)
+            chosen.append(v)
+            assert_counts(state, family, chosen)
+            _matches_rebuild(state, util, chosen)
+
+
+def test_coverage_index_rule_at_n_squared():
+    # four points that all hold id 7: 4**2 = n**2 index entries keeps the index; one more
+    # id, held once, makes 17 and the element rows are kept instead
+    for family, indexed in (([[7, 7], [7], [7], [7]], True), ([[7, 7, -1], [7], [7], [7]], False)):
+        util = CoverageUtility(family)
+        assert (util._nb_ptr is not None) == indexed
+        assert hasattr(util, "_el_pts") != indexed
+        state = util._gain_state()
+        assert_counts(state, family, [])
+        state.add(1)
+        assert_counts(state, family, [1])
 
 
 def _matches_rebuild(state, util, base):
@@ -696,10 +794,18 @@ def test_utility_validation_errors():
                  lambda: CoverageUtility([[np.True_], [2]]),
                  lambda: TabulatedUtility(2.5, [0.0] * 4),
                  lambda: TabulatedUtility(None, [0.0] * 4),
-                 lambda: MarginSimilarityUtility([0.5, 0.5], edges=[(0.5, 1, 0.2)]),
+                 lambda: CoverageUtility([["a"]]),  # strings, NaN, None and inf are no ids
+                 lambda: CoverageUtility([[float("nan")]]),
+                 lambda: CoverageUtility([[None]]),
+                 lambda: CoverageUtility([[float("inf")]]),
                  lambda: BudgetAdditiveUtility([0.5], alpha=0.9, beta=0.5, k="2")):
         with pytest.raises(InputError, match="must be an integer"):
             make()
+    # an edge endpoint follows the index rule of every point index
+    with pytest.raises(InputError, match="similarity edge indices must be integers"):
+        MarginSimilarityUtility([0.5, 0.5], edges=[(0.5, 1, 0.2)])
+    with pytest.raises(InputError, match="similarity edge index out of range"):
+        MarginSimilarityUtility([0.5, 0.5], edges=[(0, 2, 0.2)])
 
 
 def test_tabulated_from_function_checks_n_before_calling():
