@@ -14,6 +14,7 @@ non-increasing under inclusion).
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import numbers
 import threading
@@ -35,6 +36,9 @@ TRIANGLE_ATOL = 1e-9
 TRIANGLE_CHECK_MAX_N = 512
 #: Largest dense distance matrix (in bytes) an instance may allocate.
 DENSE_MAX_BYTES = 2**31
+#: Rows per block when a Gram matrix's upper triangle is scanned or mirrored.
+_BLOCK = 128
+_BELOW = np.tri(_BLOCK, k=-1, dtype=bool)  # a block's entries below its diagonal
 
 
 def canonical_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
@@ -138,18 +142,70 @@ def _unit_rows(p: np.ndarray, zero: str) -> tuple[np.ndarray, float]:
     return p / norms[:, None], float(deviation.max())
 
 
+@functools.cache
+def _syrk():
+    """numpy's own ILP64 ``scipy_cblas_dsyrk64_`` (found through its extension module) as ``syrk(p)``:
+    numpy's matmul call for ``p @ p.T``, into a new matrix's upper triangle.  Bound at the first
+    cosine build; None unless it makes ``p @ p.T``'s upper triangle bit for bit on a 7 x 5 shape."""
+    try:
+        import ctypes
+        from numpy._core import _multiarray_umath
+        fn = ctypes.CDLL(_multiarray_umath.__file__).scipy_cblas_dsyrk64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    fn.restype, fn.argtypes = None, (ctypes.c_int,) * 3 + (i64, i64, f64, ptr, i64, f64, ptr, i64)
+
+    def syrk(p: np.ndarray) -> np.ndarray:  # RowMajor, Upper, NoTrans; n, k, 1, p, k, 0, g, n
+        g = np.empty((len(p), len(p)))
+        fn(101, 121, 111, *p.shape, 1.0, p.ctypes.data, p.shape[1], 0.0, g.ctypes.data, len(g))
+        return g
+    p = np.random.default_rng(0).standard_normal((7, 5))
+    return syrk if np.triu(syrk(p)).tobytes() == np.triu(p @ p.T).tobytes() else None
+
+
+def _gram_upper(p: np.ndarray) -> np.ndarray:
+    """``p @ p.T`` on and above the diagonal, the lower triangle unset: numpy's ``dsyrk`` call without
+    its element-by-element copy; else ``p @ p.T`` (no binding, a side of 1 where numpy calls no
+    ``dsyrk``, or a ``p`` not in C order, for which numpy passes other arguments)."""
+    syrk = _syrk()
+    return p @ p.T if syrk is None or 1 in p.shape or not p.flags.c_contiguous else syrk(p)
+
+
+def _mirror(g: np.ndarray) -> None:
+    """Copy ``g``'s upper triangle into its lower one in place, by blocks of rows: no n^2 index
+    array, temporaries of at most ``_BLOCK`` rows."""
+    for i in range(0, len(g), _BLOCK):
+        j = min(i + _BLOCK, len(g))
+        g[i:j, :i] = g[:i, i:j].T
+        block = g[i:j, i:j]
+        np.copyto(block, block.T.copy(), where=_BELOW[:j - i, :j - i])
+
+
 class _GramRows:
-    """Cosine distances made on demand from the Gram matrix ``G`` (+inf diagonal): ``[t]`` at any
-    index t, ``max(1 - G[t], 0)``, and ``max(axis=1)`` are the dense matrix's (fl(1 - x) is monotone)."""
+    """Cosine distances made on demand from the upper triangle of the Gram matrix ``G`` (+inf
+    diagonal), the only part read, as ``max(1 - x, 0)``: ``[t]`` of ``G[:t, t]`` then ``G[t, t:]``,
+    ``[i, j]`` and ``np.ix_`` reads of entry (min, max) of each index pair; the dense matrix's bits
+    (G is exactly symmetric; fl(1 - x) is monotone).  ``max(axis=1)``, each row's over j >= i, has
+    d_max as its maximum, first in the row of the first row-major diametrical pair (a partner j < i
+    would put d_max in the earlier row j): :meth:`Instance._keep` finds the same pair."""
 
     def __init__(self, gram: np.ndarray):
         self.gram = gram
 
     def __getitem__(self, t) -> np.ndarray:
-        return np.maximum(1.0 - self.gram[t], 0.0)
+        g = self.gram
+        if isinstance(t, tuple):  # [i, j] or np.ix_
+            return np.maximum(1.0 - g[np.minimum(*t), np.maximum(*t)], 0.0)
+        return np.maximum(1.0 - np.concatenate((g[:t, t], g[t, t:])), 0.0)
 
-    def max(self, axis: int) -> np.ndarray:
-        return np.maximum(1.0 - self.gram.min(axis=axis), 0.0)
+    def max(self, axis: int) -> np.ndarray:  # axis 1, by blocks of rows: a block's own triangle
+        g, low = self.gram, np.empty(len(self.gram))  # masked below the diagonal, then the rest
+        for i in range(0, len(g), _BLOCK):
+            j = min(i + _BLOCK, len(g))
+            low[i:j] = np.where(_BELOW[:j - i, :j - i], np.inf, g[i:j, i:j]).min(axis=1)
+            np.minimum(low[i:j], g[i:j, j:].min(axis=1, initial=np.inf), out=low[i:j])
+        return np.maximum(1.0 - low, 0.0)
 
 
 class Instance:
@@ -165,7 +221,7 @@ class Instance:
 
     The full pairwise distance matrix is materialized lazily and cached (above ``DENSE_MAX_BYTES``
     it raises :class:`InputError`); ``d_max`` is its maximum, stored with it.  A cosine instance
-    holds its Gram matrix until a caller asks for the whole matrix; the solvers, ``dist`` and
+    holds half its Gram matrix until a caller asks for the whole matrix; the solvers, ``dist`` and
     ``div`` read from it.  Every zero distance is +0.0: a matrix input's ``-0.0`` is stored as
     ``+0.0`` (the caller's array is not touched), and the Euclidean and cosine matrices never hold
     ``-0.0``.  Instances are immutable after construction and safe to share across threads: a
@@ -288,7 +344,7 @@ class Instance:
     def _rows(self, dense: bool = False) -> np.ndarray | _GramRows:
         """Distance rows as the solvers read them, ``rows[t]``: the distance matrix once built or
         when ``dense``, else a cosine instance's :class:`_GramRows` of ``P @ P.T``.  A dense matrix
-        made from held Gram rows is made from a copy: other threads may be reading them."""
+        made from held Gram rows is made from a mirrored copy: other threads may be reading them."""
         if self._pairwise is None or (dense and isinstance(self._pairwise, _GramRows)):
             if 8 * self.n**2 > DENSE_MAX_BYTES:
                 raise InputError(f"dense distance matrix for n={self.n} exceeds {DENSE_MAX_BYTES} B")
@@ -298,8 +354,10 @@ class Instance:
                     from scipy.spatial.distance import pdist, squareform
                     self._keep(squareform(pdist(self._points)))
                 elif held is None or (dense and isinstance(held, _GramRows)):
-                    g = self._points @ self._points.T if held is None else held.gram.copy()
-                    np.fill_diagonal(g, np.inf)  # exactly symmetric (numpy's syrk); 1 - inf clamps to +0.0
+                    g = _gram_upper(self._points) if held is None else held.gram.copy()
+                    if dense:
+                        _mirror(g)  # exactly symmetric, as numpy's own copy of the triangle makes it
+                    np.fill_diagonal(g, np.inf)  # 1 - inf clamps to +0.0
                     self._keep(np.maximum(np.subtract(1.0, g, out=g), 0.0, out=g) if dense else _GramRows(g))
         return self._pairwise
 

@@ -286,11 +286,13 @@ class _BudgetGains(_AdditiveGains):
                 return int(mask.argmax()), 0.0, pos, None
             order = self.utility._order
             pos = _walk(order, min_dist, floor, pos)
-            t = order.item(pos)
+            # nxt, the next candidate's position, is the next walk's start: once t joins S no point
+            # before it is a candidate, here or on a branch peeled now (floors above dist(t, S))
+            t, nxt = order.item(pos), pos + 1 if count == 1 else _walk(order, min_dist, floor, pos + 1)
             gain = self._gain(t)
-            if count == 1 or self._gain(order.item(_walk(order, min_dist, floor, pos + 1))) != gain:
+            if count == 1 or self._gain(order.item(nxt)) != gain:
                 self.run.add(count)
-                return t, gain, pos, None
+                return t, gain, nxt, None
         return super().pick(min_dist, floor, pos)
 
 

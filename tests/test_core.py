@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from divsel import (
     greedy_independent_set,
     objective,
 )
-from divsel.core import DENSE_MAX_BYTES
+from divsel import core
+from divsel.cli import SOLVERS
+from divsel.core import DENSE_MAX_BYTES, SCHEDULES, _GramRows
 from support import METRIC_STYLES, cosine_points, integer_cases, random_metric_instance
 
 
@@ -177,6 +180,110 @@ def test_cosine_matrix_and_diameter_are_built_in_place():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 8 * n * n
+
+
+def solver_bits(inst, weights):
+    """Every cli.SOLVERS entry on both schedules over ``inst`` (geometric first, so those read
+    held Gram rows), each Solution with its floats as hex."""
+    out = []
+    for schedule in SCHEDULES:
+        problem = Problem(inst, LinearUtility(weights), lam=0.3, k=min(inst.n, 6), schedule=schedule)
+        for name, solve in sorted(SOLVERS.items(), key=lambda item: item[0] == "gist-exhaustive"):
+            sol = solve(problem, 3)
+            out.append((name, schedule, sol.selected, sol.oracle_calls,
+                        *(x if x is None else float(x).hex()
+                          for x in (sol.f_value, sol.g_value, sol.div_value, sol.winning_threshold))))
+    return out
+
+
+def held_gram(points, fill):
+    """A cosine instance holding the Gram matrix built as usual, its lower triangle then made by
+    ``fill(gram, below)``."""
+    inst = Instance.from_cosine(points)
+    g = inst._rows().gram.copy()
+    below = np.tri(inst.n, k=-1, dtype=bool)
+    g[below] = fill(g, below)
+    inst._keep(_GramRows(g))
+    return inst
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "ties"])
+@pytest.mark.parametrize("n", [1, 2, 3, 127, 128, 129, 300])
+def test_cosine_reads_only_the_upper_triangle_of_the_gram_matrix(n, kind):
+    # NaN below the diagonal changes no row, dist, div, d_max, diametrical pair or solver
+    # output against a Gram matrix mirrored in full; n crosses the block edges of the row maximum
+    rng = np.random.default_rng(n)
+    points, weights = cosine_points(rng, n, 8, kind), rng.uniform(0.0, 1.0, n)
+    poisoned = held_gram(points, lambda g, below: np.nan)
+    mirrored = held_gram(points, lambda g, below: g.T[below])
+    for a, b in ((poisoned, mirrored), (mirrored, poisoned)):
+        assert all(a._rows()[t].tobytes() == b._rows()[t].tobytes() for t in range(n))
+    pairs = rng.integers(0, n, (40, 2)).tolist()
+    assert [poisoned.dist(i, j) for i, j in pairs] == [mirrored.dist(i, j) for i, j in pairs]
+    subsets = [rng.choice(n, size=size, replace=False).tolist() for size in range(min(n, 9) + 1)]
+    assert [div(poisoned, s).hex() for s in subsets] == [div(mirrored, s).hex() for s in subsets]
+    assert poisoned.d_max.hex() == mirrored.d_max.hex()
+    if n >= 2:
+        assert poisoned.diametrical_pair() == mirrored.diametrical_pair()
+    assert solver_bits(poisoned, weights) == solver_bits(mirrored, weights)
+    assert poisoned.distance_matrix().tobytes() == mirrored.distance_matrix().tobytes()
+
+
+@pytest.fixture
+def fresh_syrk():
+    """A new binding for this test, and for the tests after it (this one may patch it)."""
+    core._syrk.cache_clear()
+    yield
+    core._syrk.cache_clear()
+
+
+def test_gram_triangle_without_the_binding_has_the_fast_paths_bits(monkeypatch, fresh_syrk):
+    rng = np.random.default_rng(5)
+    for n, dim in ((1, 4), (2, 1), (129, 1), (130, 7), (300, 64)):
+        points, weights = cosine_points(rng, n, dim, "gaussian"), rng.uniform(0.0, 1.0, n)
+        fast = Instance.from_cosine(points)
+        with monkeypatch.context() as patched:
+            patched.setattr(core, "_syrk", lambda: None)
+            plain = Instance.from_cosine(points)
+            upper = ~np.tri(n, k=-1, dtype=bool)
+            assert fast._rows().gram[upper].tobytes() == plain._rows().gram[upper].tobytes()
+            assert solver_bits(fast, weights) == solver_bits(plain, weights)
+
+
+def test_numpy_linked_to_ilp64_openblas_binds_its_dsyrk():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    ilp64 = blas["name"] == "scipy-openblas" and "USE64BITINT" in blas.get("openblas configuration", "")
+    assert (core._syrk() is not None) == ilp64
+
+
+def test_a_binding_that_fails_its_check_falls_back_to_the_product(monkeypatch, fresh_syrk):
+    import ctypes
+
+    def zeros(order, uplo, trans, n, k, alpha, a, lda, beta, c, ldc):  # a dsyrk that writes zeros
+        ctypes.memset(c, 0, 8 * n * ldc)
+
+    points = cosine_points(np.random.default_rng(6), 40, 5, "gaussian")
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace())  # no such symbol
+    assert core._syrk() is None
+    core._syrk.cache_clear()
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: SimpleNamespace(scipy_cblas_dsyrk64_=zeros))
+    assert core._syrk() is None
+    p = Instance.from_cosine(points).points
+    expected = p @ p.T
+    np.fill_diagonal(expected, np.inf)
+    assert Instance.from_cosine(points)._rows().gram.tobytes() == expected.tobytes()
+
+
+def test_points_in_fortran_order_take_the_product():
+    # numpy passes a Fortran-order p to dsyrk transposed: the binding's C-order call would
+    # read it wrongly, so such points take p @ p.T itself
+    points = cosine_points(np.random.default_rng(8), 60, 7, "gaussian")
+    inst = Instance.from_cosine(np.asfortranarray(points))
+    p = inst.points
+    assert p.flags.f_contiguous and not p.flags.c_contiguous
+    expected = p @ p.T
+    np.fill_diagonal(expected, np.inf)
+    assert inst._rows().gram.tobytes() == expected.tobytes()
 
 
 def test_dense_matrix_above_byte_budget_is_refused():
