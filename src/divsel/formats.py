@@ -182,11 +182,21 @@ def load_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     beyond float range, lone surrogates, bad syntax) is read by ``json``, so
     every file loads or fails as with ``json`` alone: NaN and Infinity still
     reach the finiteness checks (exit 3) and malformed lines still exit 2.
-    Other loaders keep ``json``: orjson reads integers beyond 64 bits as floats."""
+    Other loaders keep ``json``: orjson reads integers beyond 64 bits as floats.
+
+    One pass parses each line and keeps its number, embedding and score.  They
+    are then checked as a whole: each score an int or float by exact type, and
+    ``np.array`` of the embeddings a 2-d float64 or int64 array (an embedding
+    that is no array, a string or ``null`` entry, nested or ragged rows and an
+    integer beyond 64 bits make another dtype or shape, or raise).  numpy reads
+    ``true`` and ``false`` as 1 and 0, so each entry equal to 0 or 1 is probed
+    for a boolean.  Any doubt, a line that did not parse or a record that is no
+    object with both keys runs the failure walk: the per-line checks in file
+    order, so the first offending line names the error."""
     import orjson  # imported by the first ingest, not by ``import divsel``
-    vectors: list[list[float]] = []
-    scores: list[float] = []
-    dim: int | None = None
+    # flat lists, not the records: a dict kept per line doubled the collector's young passes
+    linenos, vectors, scores = [], [], []
+    failure: Exception | None = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -197,25 +207,38 @@ def load_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                     rec = orjson.loads(line)
                 except orjson.JSONDecodeError:
                     rec = json.loads(line)
-                vec, score = rec["embedding"], rec["uncertainty"]
-                if not isinstance(vec, list):
-                    raise FormatError(f"{path}:{lineno}: embedding must be a JSON array")
-                # exact types, so a JSON string or boolean (bool subclasses int) is no number
-                if not set(map(type, vec)) | {type(score)} <= {int, float}:
-                    raise FormatError(
-                        f"{path}:{lineno}: embedding and uncertainty must be JSON numbers")
-                if dim is None:
-                    dim = len(vec)
-                elif len(vec) != dim:
-                    raise FormatError(
-                        f"{path}:{lineno}: embedding dimension {len(vec)} != {dim}"
-                    )
-                vectors.append(vec)
-                scores.append(score)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, FormatError):
-            raise
-        raise FormatError(f"cannot parse embeddings file {path}: {exc}") from exc
+                if not (isinstance(rec, dict) and "embedding" in rec and "uncertainty" in rec):
+                    raise FormatError(f'{path}:{lineno}: each record must be a JSON object '
+                                      'with "embedding" and "uncertainty"')
+                linenos.append(lineno)
+                vectors.append(rec["embedding"])
+                scores.append(rec["uncertainty"])
+    except Exception as exc:  # raised once every line before it has passed the walk
+        failure = exc
+    if failure is None and set(map(type, scores)) <= {int, float}:
+        try:  # the whole file at once; anything in doubt is left to the walk below
+            points = np.array(vectors)  # raises ValueError on ragged rows
+            if points.dtype in (np.float64, np.int64) and points.ndim == 2:
+                ones = np.argwhere((points == 0) | (points == 1)).tolist()  # true and false here too
+                if not any(type(vectors[i][j]) is bool for i, j in ones):
+                    return points.astype(np.float64, copy=False), np.array(scores, np.float64)
+        except (ValueError, OverflowError):  # ragged rows, a score beyond float range
+            pass
+    dim = None
+    for lineno, vec, score in zip(linenos, vectors, scores):
+        if not isinstance(vec, list):
+            raise FormatError(f"{path}:{lineno}: embedding must be a JSON array")
+        # exact types, so a JSON string or boolean (bool subclasses int) is no number
+        if not set(map(type, vec)) | {type(score)} <= {int, float}:
+            raise FormatError(f"{path}:{lineno}: embedding and uncertainty must be JSON numbers")
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise FormatError(f"{path}:{lineno}: embedding dimension {len(vec)} != {dim}")
+    if failure is not None:
+        if isinstance(failure, (OSError, ValueError)) and not isinstance(failure, FormatError):
+            raise FormatError(f"cannot parse embeddings file {path}: {failure}") from failure
+        raise failure  # a record that is no object with both keys, or what json itself raised
     if not vectors:
         raise FormatError(f"{path}: no embedding records found")
     try:

@@ -336,6 +336,9 @@ def load_embeddings_json(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                 if not line:
                     continue
                 rec = json.loads(line)
+                if not (isinstance(rec, dict) and "embedding" in rec and "uncertainty" in rec):
+                    raise FormatError(f'{path}:{lineno}: each record must be a JSON object '
+                                      'with "embedding" and "uncertainty"')
                 vec, score = rec["embedding"], rec["uncertainty"]
                 if not isinstance(vec, list):
                     raise FormatError(f"{path}:{lineno}: embedding must be a JSON array")

@@ -462,6 +462,44 @@ def test_subcommand_option_strings():
     }
 
 
+def antipodal_embeddings(tmp_path):
+    emb = tmp_path / "emb.jsonl"
+    write_embeddings(emb, [{"embedding": [1.0, 0.0], "uncertainty": 0.3},
+                           {"embedding": [-1.0, 0.0], "uncertainty": 0.6},
+                           {"embedding": [0.0, 1.0], "uncertainty": 0.5}])
+    return emb
+
+
+def test_parser_is_built_once_and_keeps_no_flag_between_calls(tmp_path):
+    assert cli._build_parser() is cli._build_parser()
+    emb, out = antipodal_embeddings(tmp_path), tmp_path / "sel.json"
+    assert run("ingest", "--embeddings", emb, "--k", 2, "--alpha", 0.5, "--lam", 0.3,
+               "--out", out) == 0
+    assert json.loads(out.read_text())["lam"] == 0.3
+    assert run("ingest", "--embeddings", emb, "--k", 2, "--out", out) == 0
+    assert json.loads(out.read_text())["lam"] == 1.0 - 0.9  # the defaults, not the last call's
+
+
+def test_solve_after_ingest_in_one_process(greedy_hard_files, tmp_path):
+    inst, util = greedy_hard_files
+    assert run("ingest", "--embeddings", antipodal_embeddings(tmp_path), "--k", 2,
+               "--out", tmp_path / "sel.json") == 0
+    out = tmp_path / "solve.json"
+    assert run("solve", "--instance", inst, "--utility", util, "--lam", 0.5, "--k", 3,
+               "--algorithm", "greedy", "--format", "json", "--out", out) == 0
+    (record,) = json.loads(out.read_text())
+    assert record["algorithm"] == "greedy" and record["k"] == 3
+
+
+def test_bad_flag_after_a_good_call_is_a_usage_error(tmp_path):
+    emb, out = antipodal_embeddings(tmp_path), tmp_path / "sel.json"
+    assert run("ingest", "--embeddings", emb, "--k", 2, "--out", out) == 0
+    with pytest.raises(SystemExit) as exc:
+        run("ingest", "--embeddings", emb, "--k", 2, "--no-such-flag", "--out", out)
+    assert exc.value.code == 2
+    assert run("ingest", "--embeddings", emb, "--k", 2, "--out", out) == 0
+
+
 def test_ingest_normalization_warning(tmp_path, capsys):
     emb = tmp_path / "emb.jsonl"
     write_embeddings(emb, [

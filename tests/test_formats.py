@@ -281,3 +281,121 @@ def test_ingest_answers_lines_orjson_refuses_as_json_does(tmp_path, line, code, 
     lines = err.getvalue().splitlines()
     assert (got, lines[-1] if lines else None) == (code, last and last.format(path=path))
     assert lines[:-1] == []  # no warning before a refusal
+
+
+# tokens that make an embedding entry or a score no JSON number, or one the loader refuses
+BAD_ENTRIES = ["true", "false", '"0.5"', "null", "[1.0]", "NaN", str(2**64 + 1), "1" * 401]
+BAD_SCORES = ["true", "false", '"0.5"', "null", "[0.5]", "NaN", "1" * 401]
+FAULTS = ["entry", "ragged", "score", "trailing-comma", "non-array", "missing-key",
+          "non-object", "blank"]
+
+
+def embeddings_line(draw, st, dim, fault=None):
+    """One line of an embeddings file: a valid record, or one with ``fault``."""
+    kind = draw(st.sampled_from(["floats", "ints", "one-hot", "one-hot-ints"]))
+    if kind == "floats":
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        entries = [repr(x) for x in draw(st.lists(floats, min_size=dim, max_size=dim))]
+    elif kind == "ints":
+        ints = st.integers(-2**63, 2**63 - 1)
+        entries = [str(i) for i in draw(st.lists(ints, min_size=dim, max_size=dim))]
+    else:
+        hot = draw(st.integers(0, dim - 1))
+        one, zero = ("1.0", "0.0") if kind == "one-hot" else ("1", "0")
+        entries = [one if i == hot else zero for i in range(dim)]
+    score = draw(st.sampled_from(["0.5", "0", "1", "0.0", "1.0", "2.25"]))
+    if fault == "entry":
+        entries[draw(st.integers(0, dim - 1))] = draw(st.sampled_from(BAD_ENTRIES))
+    elif fault == "ragged":
+        entries = entries[1:] if draw(st.booleans()) else entries + ["0.5"]
+    elif fault == "score":
+        score = draw(st.sampled_from(BAD_SCORES))
+    embedding = f"[{', '.join(entries)}{',' if fault == 'trailing-comma' else ''}]"
+    if fault == "non-array":
+        embedding = draw(st.sampled_from(['"12"', "3", "{}", "null", "true"]))
+    record = f'{{"embedding": {embedding}, "uncertainty": {score}}}'
+    if fault == "missing-key":
+        record = draw(st.sampled_from(
+            [f'{{"embedding": {embedding}}}', f'{{"uncertainty": {score}}}', "{}"]))
+    elif fault == "non-object":
+        record = draw(st.sampled_from([embedding, '"x"', "3", "null", "true"]))
+    elif fault == "blank":
+        record = draw(st.sampled_from(["", "  ", "\t \t"]))
+    return record
+
+
+def load_outcome(load, path):
+    """What a loader returns, as bytes, or the message it refuses the file with."""
+    try:
+        return [(a.dtype.str, a.shape, a.tobytes()) for a in load(path)]
+    except FormatError as exc:
+        return str(exc)
+
+
+def test_embeddings_loader_answers_as_the_line_by_line_reference(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    path = tmp_path / "emb.jsonl"
+
+    @st.composite
+    def files(draw):
+        """1 to 6 lines, each valid or with a fault; at most two faults mostly."""
+        dim = draw(st.integers(1, 3))
+        n = draw(st.integers(1, 6))
+        faults = [None] * n
+        for fault in draw(st.lists(st.sampled_from(FAULTS), max_size=n)):
+            faults[draw(st.integers(0, n - 1))] = fault
+        ends = st.sampled_from(["\n", "\r\n", "\r"])
+        return "".join(embeddings_line(draw, st, dim, fault) + draw(ends) for fault in faults)
+
+    @settings(max_examples=400, deadline=None)
+    @given(files())
+    # every row nested alike makes a 3-d array; a string alone makes a string array
+    @example('{"embedding": [[0.5]], "uncertainty": 0.5}\n{"embedding": [[0.25]], "uncertainty": 1}')
+    @example('{"embedding": [0.5, "0.5"], "uncertainty": 0.5}\n')
+    def check(text):
+        path.write_bytes(text.encode("utf-8"))
+        assert load_outcome(load_embeddings, path) == load_outcome(
+            reference.load_embeddings_json, path)
+
+    check()
+
+
+def test_embeddings_first_offending_line_is_named_before_a_later_syntax_error(tmp_path):
+    # a boolean on line 2, then a trailing comma on line 3: line 2 is the error
+    path = tmp_path / "emb.jsonl"
+    path.write_text('{"embedding": [1.0, 0.0], "uncertainty": 0.5}\n'
+                    '{"embedding": [true, 0.0], "uncertainty": 0.5}\n'
+                    '{"embedding": [1.0, 0.0,], "uncertainty": 0.5}\n')
+    want = f"{path}:2: embedding and uncertainty must be JSON numbers"
+    assert load_outcome(load_embeddings, path) == want
+    assert load_outcome(reference.load_embeddings_json, path) == want
+
+
+@pytest.mark.parametrize("record", ['{"embedding": [1.0, 0.0]}', '{"uncertainty": 0.5}',
+                                    "[1.0, 0.0]", '"x"', "null"])
+def test_ingest_names_the_line_of_a_record_that_is_no_object_with_both_keys(tmp_path, record):
+    path = tmp_path / "emb.jsonl"
+    path.write_text('{"embedding": [0.6, 0.8], "uncertainty": 0.5}\n' + record + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        got = main(["ingest", "--embeddings", str(path), "--k", "1",
+                    "--out", str(tmp_path / "sel.json")])
+    assert (got, err.getvalue().splitlines()) == (2, [
+        f'error: {path}:2: each record must be a JSON object with "embedding" and "uncertainty"'])
+
+
+@pytest.mark.parametrize("bad_line", [2, 200])
+def test_embeddings_utf8_errors_answer_as_the_reference(tmp_path, bad_line):
+    # past the reader's first chunk too, where the lines before the bad bytes come first
+    good = b'{"embedding": [0.6, 0.8], "uncertainty": 0.5}\n'
+    lines = [good] * 300
+    lines[bad_line] = b'{"embedding": [0.6, 0.8], "uncertainty": 0.5, "id": "\xff"}\n'
+    path = tmp_path / "emb.jsonl"
+    for boolean_line in (None, 150):
+        if boolean_line is not None:
+            lines[boolean_line] = good.replace(b"0.6", b"true")
+        path.write_bytes(b"".join(lines))
+        got = load_outcome(load_embeddings, path)
+        assert isinstance(got, str) and got == load_outcome(reference.load_embeddings_json, path)

@@ -25,12 +25,23 @@ families like the benchmark's ``coverage-gains`` (universe 800, sets of 5 to 30
 ids) and overlapping ones on either side of the co-holder index's n**2 rule, each
 with ``evaluate`` and ``batch_marginal``, every solver on both schedules and
 ``greedy_independent_set`` at three floors.
+``--dump FILE --ingest`` runs ``divsel ingest`` in process over a fixed grid of
+embeddings files, also kept out of both digests: valid files of float, integer
+and one-hot rows at a few sizes, some with blank lines and CRLF or CR line ends,
+and one file per fault kind with the fault on line 1 and again on line 4.  Each
+run records its exit code, the last line of stderr (the file's directory as
+``<DIR>``) and the output fields, floats as ``float.hex``.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -215,11 +226,81 @@ def coverage_records():
                 yield greedy_independent_set(inst, util, d, k)
 
 
-def dump(path, cosine=False, coverage=False):
-    """Write every record of both digests, or of the cosine or coverage grid, to ``path``,
-    one per line."""
+INGEST_FAULTS = {  # fault kind -> a line with it
+    "true-in-embedding": '{"embedding": [true, 0.5], "uncertainty": 0.5}',
+    "false-in-embedding": '{"embedding": [0.5, false], "uncertainty": 0.5}',
+    "true-uncertainty": '{"embedding": [0.6, 0.8], "uncertainty": true}',
+    "false-uncertainty": '{"embedding": [0.6, 0.8], "uncertainty": false}',
+    "string": '{"embedding": ["0.6", 0.8], "uncertainty": 0.5}',
+    "null": '{"embedding": [0.6, null], "uncertainty": 0.5}',
+    "nested": '{"embedding": [[0.6], 0.8], "uncertainty": 0.5}',
+    "ragged": '{"embedding": [0.6, 0.8, 0.0], "uncertainty": 0.5}',
+    "non-array": '{"embedding": "12", "uncertainty": 0.5}',
+    "missing-key": '{"embedding": [0.6, 0.8]}',
+    "non-object": "[0.6, 0.8]",
+    "trailing-comma": '{"embedding": [0.6, 0.8,], "uncertainty": 0.5}',
+    "nan": '{"embedding": [NaN, 0.8], "uncertainty": 0.5}',
+    "65-bit-integer": '{"embedding": [%d, 0.8], "uncertainty": 0.5}' % (2**64 + 1),
+    "401-digit-integer": '{"embedding": [%s, 0.8], "uncertainty": 0.5}' % ("1" * 401),
+}
+
+INGEST_FLAGS = ([], ["--alpha", "0.5", "--lam", "0.3"], ["--utility", "margin_similarity"])
+
+
+def ingest_files():
+    """``(name, text, k, flag sets)`` of each embeddings file of the ingest grid."""
+    for n, dim in ((1, 1), (2, 3), (7, 5), (60, 16), (400, 64)):
+        rng = np.random.default_rng([n, dim])
+        rows = {"floats": rng.standard_normal((n, dim)).tolist(),
+                "ints": rng.integers(-9, 10, (n, dim)).tolist(),
+                "one-hot": np.eye(dim)[rng.integers(0, dim, n)].tolist(),
+                "one-hot-ints": np.eye(dim, dtype=int)[rng.integers(0, dim, n)].tolist()}
+        scores = rng.uniform(0.0, 2.0, n).tolist()
+        for kind, vectors in rows.items():
+            lines = [json.dumps({"embedding": v, "uncertainty": u})
+                     for v, u in zip(vectors, scores)]
+            k = min(n, 3)
+            yield f"{kind}-{n}x{dim}", "".join(line + "\n" for line in lines), k, INGEST_FLAGS
+            if kind == "floats":
+                yield f"{kind}-{n}x{dim}-crlf", "\r\n  \r\n".join(lines), k, INGEST_FLAGS[:1]
+                yield f"{kind}-{n}x{dim}-cr", "\r\t\r".join(lines) + "\r", k, INGEST_FLAGS[:1]
+    rng = np.random.default_rng(6)
+    good = [json.dumps({"embedding": rng.standard_normal(2).tolist(), "uncertainty": u})
+            for u in rng.uniform(0.0, 2.0, 6).tolist()]
+    for fault, line in INGEST_FAULTS.items():
+        for at in (1, 4):
+            lines = good[:at - 1] + [line] + good[at:]
+            yield f"{fault}-line{at}", "".join(line + "\n" for line in lines), 3, INGEST_FLAGS[:1]
+
+
+def ingest_records():
+    """One record per ``divsel ingest`` run over the ingest grid."""
+    from divsel import cli
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        for name, text, k, flag_sets in ingest_files():
+            path = Path(tmp) / f"{name}.jsonl"
+            path.write_bytes(text.encode("utf-8"))
+            for flags in flag_sets:
+                out.unlink(missing_ok=True)
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = cli.main(["ingest", "--embeddings", str(path), "--k", str(k), *flags,
+                                     "--out", str(out)])
+                last = err.getvalue().splitlines()[-1:]
+                fields = json.loads(out.read_text()) if code == 0 else {}
+                yield (name, flags, code, [line.replace(tmp, "<DIR>") for line in last],
+                       [(key, value.hex() if isinstance(value, float) else value)
+                        for key, value in sorted(fields.items()) if key != "wall_time_ms"])
+
+
+def dump(path, cosine=False, coverage=False, ingest=False):
+    """Write every record of both digests, or of the cosine, coverage or ingest grid, to
+    ``path``, one per line."""
     sources = ((("cosine", cosine_records()),) if cosine else
                (("coverage", coverage_records()),) if coverage else
+               (("ingest", ingest_records()),) if ingest else
                (("golden", records()), ("exact", exact_records())))
     with open(path, "w") as fh:
         for name, recs in sources:
@@ -234,5 +315,7 @@ if __name__ == "__main__":
                         help="dump the same-machine cosine grid instead of the digests' records")
     parser.add_argument("--coverage", action="store_true",
                         help="dump the same-machine coverage grid instead of the digests' records")
+    parser.add_argument("--ingest", action="store_true",
+                        help="dump divsel ingest over a grid of embeddings files instead")
     args = parser.parse_args()
-    dump(args.dump, args.cosine, args.coverage)
+    dump(args.dump, args.cosine, args.coverage, args.ingest)
