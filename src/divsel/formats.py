@@ -184,18 +184,11 @@ def load_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     reach the finiteness checks (exit 3) and malformed lines still exit 2.
     Other loaders keep ``json``: orjson reads integers beyond 64 bits as floats.
 
-    One pass parses each line and keeps its number, embedding and score.  They
-    are then checked as a whole: each score an int or float by exact type, and
-    ``np.array`` of the embeddings a 2-d float64 or int64 array (an embedding
-    that is no array, a string or ``null`` entry, nested or ragged rows and an
-    integer beyond 64 bits make another dtype or shape, or raise).  numpy reads
-    ``true`` and ``false`` as 1 and 0, so each entry equal to 0 or 1 is probed
-    for a boolean.  Any doubt, a line that did not parse or a record that is no
-    object with both keys runs the failure walk: the per-line checks in file
+    The records are checked as a whole (``np.array`` must infer a 2-d float64
+    array; rows holding a 0 or 1 are probed for booleans), else per line in file
     order, so the first offending line names the error."""
     import orjson  # imported by the first ingest, not by ``import divsel``
-    # flat lists, not the records: a dict kept per line doubled the collector's young passes
-    linenos, vectors, scores = [], [], []
+    linenos, vectors, scores = [], [], []  # not the records: a dict per line doubles gc passes
     failure: Exception | None = None
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -215,26 +208,25 @@ def load_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                 scores.append(rec["uncertainty"])
     except Exception as exc:  # raised once every line before it has passed the walk
         failure = exc
-    if failure is None and set(map(type, scores)) <= {int, float}:
-        try:  # the whole file at once; anything in doubt is left to the walk below
-            points = np.array(vectors)  # raises ValueError on ragged rows
-            if points.dtype in (np.float64, np.int64) and points.ndim == 2:
-                ones = np.argwhere((points == 0) | (points == 1)).tolist()  # true and false here too
-                if not any(type(vectors[i][j]) is bool for i, j in ones):
-                    return points.astype(np.float64, copy=False), np.array(scores, np.float64)
-        except (ValueError, OverflowError):  # ragged rows, a score beyond float range
-            pass
-    dim = None
-    for lineno, vec, score in zip(linenos, vectors, scores):
-        if not isinstance(vec, list):
-            raise FormatError(f"{path}:{lineno}: embedding must be a JSON array")
-        # exact types, so a JSON string or boolean (bool subclasses int) is no number
-        if not set(map(type, vec)) | {type(score)} <= {int, float}:
-            raise FormatError(f"{path}:{lineno}: embedding and uncertainty must be JSON numbers")
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise FormatError(f"{path}:{lineno}: embedding dimension {len(vec)} != {dim}")
+    try:  # the whole file at once; anything in doubt is left to the walk below
+        points = np.array(vectors)
+    except ValueError:  # ragged rows
+        points = None
+    if (points is None or points.dtype != np.float64 or points.ndim != 2
+            or not set(map(type, scores)) <= {int, float}
+            or any(bool in set(map(type, vectors[i]))  # numpy reads true and false as 1.0 and 0.0
+                   for i in np.flatnonzero(((points == 0) | (points == 1)).any(axis=1)))):
+        points, dim = vectors, None
+        for lineno, vec, score in zip(linenos, vectors, scores):
+            if not isinstance(vec, list):
+                raise FormatError(f"{path}:{lineno}: embedding must be a JSON array")
+            # exact types, so a JSON string or boolean (bool subclasses int) is no number
+            if not set(map(type, vec)) | {type(score)} <= {int, float}:
+                raise FormatError(f"{path}:{lineno}: embedding and uncertainty must be JSON numbers")
+            if dim is None:
+                dim = len(vec)
+            elif len(vec) != dim:
+                raise FormatError(f"{path}:{lineno}: embedding dimension {len(vec)} != {dim}")
     if failure is not None:
         if isinstance(failure, (OSError, ValueError)) and not isinstance(failure, FormatError):
             raise FormatError(f"cannot parse embeddings file {path}: {failure}") from failure
@@ -242,7 +234,7 @@ def load_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     if not vectors:
         raise FormatError(f"{path}: no embedding records found")
     try:
-        return np.asarray(vectors, dtype=np.float64), np.asarray(scores, dtype=np.float64)
+        return np.asarray(points, dtype=np.float64), np.asarray(scores, dtype=np.float64)
     except OverflowError as exc:  # an integer beyond float range
         raise FormatError(f"cannot parse embeddings file {path}: {exc}") from exc
 
