@@ -150,6 +150,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
     from . import generators  # only gen needs it: loaded here
 
     family = args.family
+    flag = {"clique-reduction": "graph", "independent-set-reduction": "graph",
+            "cover-reduction": "set_family"}.get(family)
+    if flag and getattr(args, flag) is None:
+        raise InputError(f"--family {family} requires --{flag.replace('_', '-')}")
     if family == "gaussian":
         gen = generators.gen_gaussian(args.n, args.dim, args.seed)
         parameters = {"n": args.n, "dim": args.dim, "alpha": args.alpha, "beta": args.beta}

@@ -36,7 +36,7 @@ TRIANGLE_ATOL = 1e-9
 TRIANGLE_CHECK_MAX_N = 512
 #: Largest dense distance matrix (in bytes) an instance may allocate.
 DENSE_MAX_BYTES = 2**31
-#: Rows per block when a Gram matrix's upper triangle is scanned or mirrored.
+#: Rows per block when a Gram matrix's upper triangle is scanned.
 _BLOCK = 128
 _BELOW = np.tri(_BLOCK, k=-1, dtype=bool)  # a block's entries below its diagonal
 
@@ -172,23 +172,14 @@ def _gram_upper(p: np.ndarray) -> np.ndarray:
     return p @ p.T if syrk is None or 1 in p.shape or not p.flags.c_contiguous else syrk(p)
 
 
-def _mirror(g: np.ndarray) -> None:
-    """Copy ``g``'s upper triangle into its lower one in place, by blocks of rows: no n^2 index
-    array, temporaries of at most ``_BLOCK`` rows."""
-    for i in range(0, len(g), _BLOCK):
-        j = min(i + _BLOCK, len(g))
-        g[i:j, :i] = g[:i, i:j].T
-        block = g[i:j, i:j]
-        np.copyto(block, block.T.copy(), where=_BELOW[:j - i, :j - i])
-
-
 class _GramRows:
     """Cosine distances made on demand from the upper triangle of the Gram matrix ``G`` (+inf
     diagonal), the only part read, as ``max(1 - x, 0)``: ``[t]`` of ``G[:t, t]`` then ``G[t, t:]``,
-    ``[i, j]`` and ``np.ix_`` reads of entry (min, max) of each index pair; the dense matrix's bits
-    (G is exactly symmetric; fl(1 - x) is monotone).  ``max(axis=1)``, each row's over j >= i, has
-    d_max as its maximum, first in the row of the first row-major diametrical pair (a partner j < i
-    would put d_max in the earlier row j): :meth:`Instance._keep` finds the same pair."""
+    ``[i, j]`` and ``np.ix_`` reads of entry (min, max) of each index pair, a mask's of its entries
+    above the diagonal; the dense matrix's bits (G is exactly symmetric; fl(1 - x) is monotone).
+    ``max(axis=1)``, each row's over j >= i, has d_max as its maximum, first in the row of the
+    first row-major diametrical pair (a partner j < i would put d_max in the earlier row j):
+    :meth:`Instance._keep` finds the same pair."""
 
     def __init__(self, gram: np.ndarray):
         self.gram = gram
@@ -197,6 +188,9 @@ class _GramRows:
         g = self.gram
         if isinstance(t, tuple):  # [i, j] or np.ix_
             return np.maximum(1.0 - g[np.minimum(*t), np.maximum(*t)], 0.0)
+        if isinstance(t, np.ndarray):  # a mask above the diagonal: one new array, made in place
+            t = g[t]
+            return np.maximum(np.subtract(1.0, t, out=t), 0.0, out=t)
         return np.maximum(1.0 - np.concatenate((g[:t, t], g[t, t:])), 0.0)
 
     def max(self, axis: int) -> np.ndarray:  # axis 1, by blocks of rows: a block's own triangle
@@ -219,13 +213,12 @@ class Instance:
       normalized on construction; note this distance may violate the triangle
       inequality, which is why the triangle check applies to matrices only).
 
-    The full pairwise distance matrix is materialized lazily and cached (above ``DENSE_MAX_BYTES``
-    it raises :class:`InputError`); ``d_max`` is its maximum, stored with it.  A cosine instance
-    holds half its Gram matrix until a caller asks for the whole matrix; the solvers, ``dist`` and
-    ``div`` read from it.  Every zero distance is +0.0: a matrix input's ``-0.0`` is stored as
-    ``+0.0`` (the caller's array is not touched), and the Euclidean and cosine matrices never hold
-    ``-0.0``.  Instances are immutable after construction and safe to share across threads: a
-    lock lets one thread fill each lazy cache, so two never build an n^2 array at once.
+    An instance holds one store of distance rows and ``d_max``, never replaced: the matrix given, else
+    the Euclidean matrix or a cosine Gram triangle, built at the first read (InputError above
+    ``DENSE_MAX_BYTES``); a cosine ``distance_matrix()`` is made anew.  Every zero distance is +0.0:
+    a matrix input's ``-0.0`` is stored as ``+0.0`` (the caller's array is not touched).  Instances
+    are immutable after construction and safe to share across threads: a lock lets one thread fill
+    each lazy store, so two never build an n^2 array at once.
     """
 
     def __init__(
@@ -341,29 +334,32 @@ class Instance:
         self._diameter = (float(row_max[i]), pair)  # first: unlocked readers test _pairwise
         self._pairwise = m
 
-    def _rows(self, dense: bool = False) -> np.ndarray | _GramRows:
-        """Distance rows as the solvers read them, ``rows[t]``: the distance matrix once built or
-        when ``dense``, else a cosine instance's :class:`_GramRows` of ``P @ P.T``.  A dense matrix
-        made from held Gram rows is made from a mirrored copy: other threads may be reading them."""
-        if self._pairwise is None or (dense and isinstance(self._pairwise, _GramRows)):
-            if 8 * self.n**2 > DENSE_MAX_BYTES:
-                raise InputError(f"dense distance matrix for n={self.n} exceeds {DENSE_MAX_BYTES} B")
+    def _rows(self) -> np.ndarray | _GramRows:
+        """The one store of distance rows, ``rows[t]``: the matrix given, else :meth:`_build`'s."""
+        if self._pairwise is None:
             with self._lock:
-                held = self._pairwise
-                if held is None and self.metric == "euclidean":  # scipy's import is costly: only here
-                    from scipy.spatial.distance import pdist, squareform
-                    self._keep(squareform(pdist(self._points)))
-                elif held is None or (dense and isinstance(held, _GramRows)):
-                    g = _gram_upper(self._points) if held is None else held.gram.copy()
-                    if dense:
-                        _mirror(g)  # exactly symmetric, as numpy's own copy of the triangle makes it
-                    np.fill_diagonal(g, np.inf)  # 1 - inf clamps to +0.0
-                    self._keep(np.maximum(np.subtract(1.0, g, out=g), 0.0, out=g) if dense else _GramRows(g))
+                if self._pairwise is None:
+                    self._keep(self._build(held=True))
         return self._pairwise
 
+    def _build(self, held: bool) -> np.ndarray | _GramRows:
+        """``squareform(pdist(P))``, or for a cosine instance :class:`_GramRows` if ``held``, else the
+        dense matrix from ``P @ P.T`` (numpy's ``dsyrk`` and triangle copy: the held rows' bits)."""
+        if 8 * self.n**2 > DENSE_MAX_BYTES:
+            raise InputError(f"dense distance matrix for n={self.n} exceeds {DENSE_MAX_BYTES} B")
+        if self.metric == "euclidean":  # scipy's import is costly: only here
+            from scipy.spatial.distance import pdist, squareform
+            return squareform(pdist(self._points))
+        g = _gram_upper(self._points) if held else self._points @ self._points.T
+        np.fill_diagonal(g, np.inf)  # 1 - inf clamps to +0.0
+        return _GramRows(g) if held else np.maximum(np.subtract(1.0, g, out=g), 0.0, out=g)
+
     def distance_matrix(self) -> np.ndarray:
-        """Full pairwise distance matrix (cached, read-only)."""
-        return self._rows(dense=True)
+        """Full pairwise distance matrix, read-only: the held one, or a cosine instance's made
+        anew per call (no store is built)."""
+        m = self._build(held=False) if self.metric == "cosine" else self._rows()
+        m.setflags(write=False)
+        return m
 
     def dist(self, i: int, j: int) -> float:
         i, j = _indices((i, j), "point", self.n)
@@ -376,13 +372,13 @@ class Instance:
 
     def pair_distances_sorted(self) -> np.ndarray:
         """All n*(n-1)/2 pairwise distances, sorted ascending (a new array per call)."""
-        vals = self.distance_matrix()[~np.tri(self.n, dtype=bool)]  # i < j, in row-major order
+        vals = self._rows()[~np.tri(self.n, dtype=bool)]  # i < j, in row-major order
         vals.sort()
         return vals
 
     def _exhaustive_sweep(self) -> np.ndarray:
         """0.0, then the sorted distinct half pair distances (built once, read-only)."""
-        self.distance_matrix()  # before the lock, which it takes itself
+        self._rows()  # before the lock, which it takes itself
         with self._lock:  # every reader takes it, so the array is published read-only
             if self._sweep is None:
                 vals = self.pair_distances_sorted()

@@ -184,8 +184,8 @@ def load_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     reach the finiteness checks (exit 3) and malformed lines still exit 2.
     Other loaders keep ``json``: orjson reads integers beyond 64 bits as floats.
 
-    The records are checked as a whole (``np.array`` must infer a 2-d float64
-    array; rows holding a 0 or 1 are probed for booleans), else per line in file
+    The records are checked as a whole (``np.array`` must infer a 2-d float64 or
+    int64 array; rows holding a 0 or 1 are probed for booleans), else per line in file
     order, so the first offending line names the error."""
     import orjson  # imported by the first ingest, not by ``import divsel``
     linenos, vectors, scores = [], [], []  # not the records: a dict per line doubles gc passes
@@ -212,7 +212,7 @@ def load_embeddings(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         points = np.array(vectors)
     except ValueError:  # ragged rows
         points = None
-    if (points is None or points.dtype != np.float64 or points.ndim != 2
+    if (points is None or points.dtype not in (np.float64, np.int64) or points.ndim != 2
             or not set(map(type, scores)) <= {int, float}
             or any(bool in set(map(type, vectors[i]))  # numpy reads true and false as 1.0 and 0.0
                    for i in np.flatnonzero(((points == 0) | (points == 1)).any(axis=1)))):
@@ -255,7 +255,7 @@ def load_edge_pairs(path: str | Path) -> list[tuple[int, int]]:
         raise FormatError(f"{path}: edge file must be a JSON list of [i, j] pairs")
     try:
         return [(integral(e[0], "edge index"), integral(e[1], "edge index")) for e in doc]
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, KeyError) as exc:  # KeyError: a record that is an object
         raise FormatError(f"{path}: malformed edge pair") from exc
 
 

@@ -495,26 +495,29 @@ def test_branch_bound_past_the_float_range_is_inf():
                 assert isinstance(sol, Solution) and len(sol.selected) <= k
 
 
-def test_geometric_solvers_read_cosine_rows_without_the_dense_matrix(monkeypatch):
+def test_solvers_on_either_schedule_read_cosine_rows_without_the_dense_matrix(monkeypatch):
+    # the exhaustive schedule sorts the pair distances of the held Gram rows too
     rng = np.random.default_rng(4)
     points, weights = rng.standard_normal((300, 16)), rng.uniform(0.0, 1.0, 300)
 
-    def problem():
-        return Problem(Instance.from_cosine(points), LinearUtility(weights), lam=0.3, k=8)
+    def problem(schedule):
+        inst = Instance.from_cosine(points)
+        return Problem(inst, LinearUtility(weights), lam=0.3, k=8, schedule=schedule)
 
-    expected = {name: solve(problem()) for name, solve in ALGORITHM_RUNS}
+    expected = {(name, s): solve(problem(s)) for s in SCHEDULES for name, solve in ALGORITHM_RUNS}
 
     def refuse(self):
         raise AssertionError("dense distance matrix built")
 
     monkeypatch.setattr(Instance, "distance_matrix", refuse)
-    for name, solve in ALGORITHM_RUNS:
-        assert solve(problem()) == expected[name], name
+    for s in SCHEDULES:
+        for name, solve in ALGORITHM_RUNS:
+            assert solve(problem(s)) == expected[name, s], (name, s)
 
 
 def test_threads_share_one_cosine_instance():
-    # threads on the geometric schedule sweep rows made from the Gram matrix while those on
-    # the exhaustive one build the dense matrix from it; each returns its solo output
+    # threads on both schedules read the one store of Gram rows that the first of them
+    # builds; each returns its solo output
     rng = np.random.default_rng(0)
     points, weights = rng.standard_normal((300, 16)), rng.uniform(0.0, 1.0, 300)
 

@@ -566,6 +566,15 @@ def test_gen_graph_families(tmp_path):
     assert json.loads(inst.read_text())["metric"] == "euclidean"
 
 
+@pytest.mark.parametrize("family, flag", [("clique-reduction", "--graph"),
+                                          ("independent-set-reduction", "--graph"),
+                                          ("cover-reduction", "--set-family")])
+def test_gen_reduction_without_its_input_file_names_the_flag(tmp_path, capsys, family, flag):
+    assert run("gen", "--family", family, "--out-instance", tmp_path / "inst.json",
+               "--out-utility", tmp_path / "util.json") == 3
+    assert f"--family {family} requires {flag}" in capsys.readouterr().err
+
+
 def test_gen_cover_family(tmp_path):
     fam = tmp_path / "family.json"
     fam.write_text(json.dumps({"family": [[1, 2], [3, 4], [1, 3]], "groups": [0, 1, 1]}))

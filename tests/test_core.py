@@ -429,6 +429,10 @@ def test_dist_div_and_objective_read_held_gram_rows(monkeypatch):
             for i, j in rng.integers(0, 120, (40, 2)).tolist() + [(5, 5)]:
                 assert held.dist(i, j).hex() == dense.dist(i, j).hex(), (kind, i, j)
                 assert held.distance_row(i).tobytes() == dense.distance_row(i).tobytes(), (kind, i)
+        rows = held._rows()  # the one store: neither the dense matrix nor the exhaustive sort replaces it
+        assert held.distance_matrix().tobytes() == dense.distance_matrix().tobytes()
+        gist(Problem(held, LinearUtility(weights), lam=0.3, k=6, schedule="exhaustive"))
+        assert held._rows() is rows, kind
 
 
 def test_div_monotone_non_increasing_under_inclusion():

@@ -183,6 +183,7 @@ def test_loaders_reject_non_integral_integers(tmp_path):
                       ({"family": [[1, 2.5]]}, load_set_family),
                       ({"family": [[1]], "groups": [0.5]}, load_set_family),
                       ([[0.7, 1.2]], load_edge_pairs),
+                      ([{"i": 0, "j": 1}], load_edge_pairs),  # a record that is no pair
                       # booleans are no integers, though JSON true equals 1 in Python
                       ({"n": True, "metric": "euclidean", "points": [[0.0]]}, load_instance),
                       ({"n": True, "edges": []}, load_graph),

@@ -185,7 +185,7 @@ def cosine_records():
                         inst.distance_matrix()
                     yield "rows", row_hash(inst)
                     yield inst.d_max.hex(), inst.diametrical_pair() if n >= 2 else None
-                    for schedule in ("geometric", "exhaustive"):  # the dense matrix comes last
+                    for schedule in ("geometric", "exhaustive"):
                         for util in utils:
                             problem = Problem(inst, util, lam=lam, k=k, epsilon=0.2, schedule=schedule)
                             for sol in (gist(problem), simple_baseline(problem),

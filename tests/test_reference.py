@@ -207,15 +207,15 @@ def test_cosine_matrix_and_diameter_match_literal_reference(n, dim, kind):
 @pytest.mark.parametrize("dim", [1, 64])
 @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
 def test_cosine_rows_match_literal_reference_in_either_build_order(n, dim, kind, dense_first):
-    # the rows the solvers read: made from the Gram matrix on a fresh instance, or the
-    # dense matrix's once built; the dense matrix made from a held Gram matrix matches too
+    # the rows the solvers read, made from the Gram matrix whether or not a dense matrix was
+    # asked for first; the dense matrix, made anew from the points, matches too
     points = cosine_points(np.random.default_rng(10 * n + dim), n, dim, kind)
     inst = Instance.from_cosine(points)
     expected = reference.cosine_distance_matrix(points)
     if dense_first:
         inst.distance_matrix()
     rows = inst._rows()
-    dense = inst.distance_matrix()  # made anew from a held Gram matrix, which rows still reads
+    dense = inst.distance_matrix()  # made anew: rows stays the held store
     assert all(rows[t].tobytes() == expected[t].tobytes() for t in range(n))
     assert dense.tobytes() == expected.tobytes()
     assert (inst.d_max, inst.diametrical_pair() if n >= 2 else None) == reference.diameter(expected)
