@@ -24,6 +24,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import io
 import math
 import sys
 import time
@@ -124,11 +125,12 @@ def _write_records(records: list[dict], path: str | Path, fmt: str) -> None:
     if fmt == "json":
         formats._write_json(records, path)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(["" if rec[col] is None else rec[col] for col in CSV_COLUMNS])
+    buf = io.StringIO()  # the csv module's own \r\n line ends, untranslated
+    writer = csv.writer(buf)
+    writer.writerow(CSV_COLUMNS)
+    for rec in records:
+        writer.writerow(["" if rec[col] is None else rec[col] for col in CSV_COLUMNS])
+    formats._write_text(buf.getvalue(), path)
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:

@@ -1,7 +1,10 @@
 import argparse
 import csv
+import errno
+import io
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -92,6 +95,44 @@ def test_solve_json_format(greedy_hard_files, tmp_path):
     assert len(records[0]["instance_hash"]) == 64
 
 
+def test_solve_rewrites_a_longer_output_in_place(greedy_hard_files, tmp_path):
+    inst, util = greedy_hard_files
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"out.{fmt}"
+        with open(out, "wb") as fh:  # an old output, longer than the new one and on disk
+            fh.write(b"old tail " * 8000)
+            fh.flush()
+            os.fsync(fh.fileno())
+        inode = os.stat(out).st_ino
+        assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 6,
+                   "--format", fmt, "--out", out) == 0
+        data = out.read_bytes()
+        if fmt == "csv":  # the csv module's \r\n line ends
+            buf = io.StringIO()
+            csv.writer(buf).writerows(read_csv(out))
+            want = buf.getvalue()
+        else:
+            want = json.dumps(json.loads(data), indent=2, sort_keys=True) + "\n"
+        assert b"old tail" not in data and data == want.encode(), fmt
+        assert os.stat(out).st_ino == inode
+
+
+def test_out_may_be_dev_null_but_not_a_directory(greedy_hard_files, tmp_path, capsys):
+    inst, util = greedy_hard_files
+    for fmt in ("csv", "json"):
+        assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 6,
+                   "--format", fmt, "--out", os.devnull) == 0
+    emb = tmp_path / "emb.jsonl"
+    write_embeddings(emb, [{"embedding": [1.0, 0.0], "uncertainty": 0.5},
+                           {"embedding": [0.0, 1.0], "uncertainty": 0.5}])
+    assert run("ingest", "--embeddings", emb, "--k", 2, "--out", os.devnull) == 0
+    capsys.readouterr()
+    assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 6,
+               "--out", tmp_path) == 2
+    assert capsys.readouterr().err == (f"error: [Errno {errno.EISDIR}] "
+                                       f"{os.strerror(errno.EISDIR)}: '{tmp_path}'\n")
+
+
 def test_solve_unknown_algorithm_is_parameter_error(greedy_hard_files, tmp_path):
     inst, util = greedy_hard_files
     assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 6,
@@ -169,7 +210,8 @@ def test_non_integral_integers_are_rejected(tmp_path):
     emb, edges = tmp_path / "emb.jsonl", tmp_path / "edges.json"
     write_embeddings(emb, [{"embedding": v, "uncertainty": 0.5}
                            for v in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])])
-    for pairs, code in (([[0.7, 1.2]], 2), ([[0.0, 1.0]], 0), ([[0, 3]], 3), ([[-1, 0]], 3)):
+    for pairs, code in (([[0.7, 1.2]], 2), ([[0.0, 1.0]], 0), ([[0, 3]], 3), ([[-1, 0]], 3),
+                        ([[0, 1, 7]], 2), ([[0, 1, "junk"]], 2), ([[0]], 2)):
         edges.write_text(json.dumps(pairs))
         assert run("ingest", "--embeddings", emb, "--utility", "margin_similarity",
                    "--edges", edges, "--k", 2, "--out", tmp_path / "sel.json") == code, pairs

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -17,6 +18,7 @@ from divsel import (
     MarginSimilarityUtility,
 )
 from divsel.cli import main
+from divsel import formats
 from divsel.formats import (
     load_edge_pairs,
     load_embeddings,
@@ -125,6 +127,57 @@ def test_dense_similarity_not_serializable(tmp_path):
         save_utility(util, tmp_path / "x.json")
 
 
+def write_long_fsynced(path, size=64 * 1024):
+    """An old output longer than any new one, on disk: its inode number."""
+    with open(path, "wb") as fh:
+        fh.write(b"old tail " * (size // 9))
+        fh.flush()
+        os.fsync(fh.fileno())
+    return os.stat(path).st_ino
+
+
+def test_outputs_are_rewritten_in_place_and_a_longer_tail_is_cut(tmp_path):
+    path = tmp_path / "util.json"
+    inode = write_long_fsynced(path)
+    util = LinearUtility([0.5, 1.0])
+    save_utility(util, path)
+    assert path.read_bytes() == (json.dumps(utility_to_dict(util), indent=2, sort_keys=True)
+                                 + "\n").encode()
+    assert os.stat(path).st_ino == inode
+    formats._write_text("longer text " * 9000, path)  # longer than the old file: nothing to cut
+    assert path.read_text() == "longer text " * 9000 and os.stat(path).st_ino == inode
+
+
+def test_outputs_are_opened_without_o_trunc(tmp_path, monkeypatch):
+    opened, real_open = [], os.open
+
+    def spy(path, flags, *args):
+        opened.append(flags)
+        return real_open(path, flags, *args)
+
+    monkeypatch.setattr(os, "open", spy)
+    save_utility(LinearUtility([0.5]), tmp_path / "util.json")
+    assert len(opened) == 1 and opened[0] & os.O_CREAT and not opened[0] & os.O_TRUNC
+
+
+def test_a_document_json_cannot_serialize_leaves_the_old_file(tmp_path):
+    path = tmp_path / "out.json"
+    write_long_fsynced(path)
+    old = path.read_bytes()
+    with pytest.raises(TypeError):
+        formats._write_json({"selected": [0, 1], "bad": object()}, path)
+    assert path.read_bytes() == old
+
+
+def test_a_new_output_gets_the_mode_open_would_give(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        save_utility(LinearUtility([0.5]), tmp_path / "util.json")
+    finally:
+        os.umask(umask)
+    assert os.stat(tmp_path / "util.json").st_mode & 0o777 == 0o666 & ~0o027
+
+
 def test_embeddings_loader(tmp_path):
     path = tmp_path / "emb.jsonl"
     with open(path, "w") as fh:
@@ -183,7 +236,6 @@ def test_loaders_reject_non_integral_integers(tmp_path):
                       ({"family": [[1, 2.5]]}, load_set_family),
                       ({"family": [[1]], "groups": [0.5]}, load_set_family),
                       ([[0.7, 1.2]], load_edge_pairs),
-                      ([{"i": 0, "j": 1}], load_edge_pairs),  # a record that is no pair
                       # booleans are no integers, though JSON true equals 1 in Python
                       ({"n": True, "metric": "euclidean", "points": [[0.0]]}, load_instance),
                       ({"n": True, "edges": []}, load_graph),
@@ -192,6 +244,15 @@ def test_loaders_reject_non_integral_integers(tmp_path):
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError):
             load(path)
+
+
+@pytest.mark.parametrize("pairs", [[[0, 1, 7]], [[0, 1, "junk"]], [[0]], [[0, 1], [2]],
+                                   [{"i": 0, "j": 1}]])
+def test_edge_records_that_are_no_pairs_are_malformed(tmp_path, pairs):
+    path = tmp_path / "edges.json"
+    path.write_text(json.dumps(pairs))
+    with pytest.raises(FormatError, match="malformed edge pair"):
+        load_edge_pairs(path)
 
 
 def assert_loads_like_json(path):
