@@ -44,21 +44,21 @@ def _threshold_tree(
     """The greedy independent set at each of the ascending ``thresholds``: one
     depth-first sweep that shares the common prefixes of the runs.
 
-    A path at a prefix S of the runs at ``thresholds[lo:hi + 1]`` keeps ``min_dist``,
-    each point's distance to S (-1 for a point of S); its candidates are the points
-    with ``min_dist >= thresholds[lo]``.  Its gain state picks among them (``pick``:
-    one query per candidate, ties to the lowest index) the t that is every
-    threshold's pick up to dist(t, S); each higher one takes the best candidate it
-    still has, in a branch, or its run ends at S.  A step that peels such branches
-    reads its candidates' gain vector from the pick, or uncounted (``_gains``) when
-    the pick built none: the pick counted them.  Each path carries its own gain
-    state, counting into the call's ``run``, and walk position: the root's is the
-    kind's ``_sweep_state(run)``; a branch copies the state at S, adds its pick when
-    popped, and starts at its parent's position.  Yields ``(selection in order, lo,
-    hi, run_div, state)`` by ascending ``lo``, ``run_div`` being the selection's
-    minimum distance (+inf below two points) and ``state`` the run's gain state, at
-    the selection; its ``value()`` is the run's g, counted when read.  A step reads
-    dist(t, S) once, and searches ``thresholds`` only when it lies below ``thresholds[hi]``.
+    A path at a prefix S of the runs at ``thresholds[lo:hi + 1]`` keeps ``min_dist``, each
+    point's distance to S (-1 exactly on S, +0.0 or more elsewhere); its candidates are the
+    points with ``min_dist >= thresholds[lo]``, at a zero floor the points off S.  Its gain
+    state picks among them (``pick``: one query per candidate, ties to the lowest index) the
+    t that is every threshold's pick up to dist(t, S); each higher one takes the best
+    candidate it still has, in a branch, or its run ends at S.  A step that peels such
+    branches reads its candidates' gain vector from the pick, or uncounted (``_gains``) when
+    the pick built none: the pick counted them.  Each path carries its own gain state,
+    counting into the call's ``run``, and walk position, which a pick may move past t: the
+    root's is the kind's ``_sweep_state(run)``; a branch copies the state at S, adds its pick
+    when popped, and starts where its parent's step left the position.  Yields ``(selection
+    in order, lo, hi, run_div, state)`` by ascending ``lo``, ``run_div`` being the selection's
+    minimum distance (+inf below two points) and ``state`` the run's gain state, at the
+    selection; its ``value()`` is the run's g, counted when read.  A step reads dist(t, S)
+    once, and searches ``thresholds`` only when it lies below ``thresholds[hi]``.
 
     For a ``_bounded`` kind, a path at prefix S with candidates C only has runs
     of f <= g(S) + (the k - |S| largest gains at S over C) + ``lam`` *
@@ -92,20 +92,21 @@ def _threshold_tree(
                 continue
         if parent is not None and min_dist is not None:  # a branch with a pick:
             state.add(sel[-1])  # it joins the branch's copy of its parent's state once the bound keeps it
-        floor = thresholds.item(lo)
-        while min_dist is not None and len(sel) < k and (step := state.pick(min_dist, floor, pos)):
+        floor, d_hi, pick, add = thresholds.item(lo), thresholds.item(hi), state.pick, state.add
+        room = 0 if min_dist is None else k - len(sel)
+        while room and (step := pick(min_dist, floor, pos, n - len(sel))):
             t, gain, pos, gains = step
             if limit is not None:
-                bound = g + (k - len(sel)) * gain + lam * min(d_max, run_div)
+                bound = g + room * gain + lam * min(d_max, run_div)
                 if bound + VALUE_RTOL * abs(bound) < limit:
                     break  # no run through S can beat the best offer
             dt = min_dist.item(t)  # dist(t, S); top: the last of thresholds[:hi + 1] at or below it
-            top = last = hi if dt >= thresholds.item(hi) else int(cut(dt, "right")) - 1
+            top = last = hi if dt >= d_hi else int(cut(dt, "right")) - 1
             if last < hi:
                 cand = (min_dist >= floor).nonzero()[0]
                 if gains is None:  # the pick built none; it counted them
                     gains = state._gains(cand)
-                at = len(paths)  # each higher branch goes below the lower ones: they pop ascending
+                at, d_hi = len(paths), thresholds.item(top)  # each higher branch goes below the lower ones
             while last < hi:  # peel off the thresholds above dist(t, S)
                 first = last + 1
                 sub = (min_dist[cand] >= thresholds[first]).nonzero()[0]
@@ -121,11 +122,11 @@ def _threshold_tree(
                 last = min(hi, int(cut(min_dist[u], "right")) - 1)
                 paths.insert(at, (sel + [u], first, last, branch, pos, min(run_div, float(min_dist[u])),
                                   g + gu, state.copy(), (g, gu, pg)))
-            hi, run_div, g = top, min(run_div, dt), g + gain
+            hi, g, room, run_div = top, g + gain, room - 1, dt if dt < run_div else run_div  # min's bits
             np.minimum(min_dist, rows[t], out=min_dist)
             min_dist[t] = -1.0
             sel.append(t)
-            state.add(t)
+            add(t)
         else:
             yield sel, lo, hi, run_div, state
 

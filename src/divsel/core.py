@@ -540,11 +540,13 @@ class _GainState:
     def _gains(self, cand: np.ndarray) -> np.ndarray:
         return np.asarray(self.utility._batch_marginal(cand, self.s), dtype=np.float64)
 
-    def pick(self, min_dist: np.ndarray, floor: float, pos: int):
+    def pick(self, min_dist: np.ndarray, floor: float, pos: int, outside: int):
         """``(t, its gain, pos, gains)`` for the candidate t of largest gain (ties to the lowest
         index) among the points with ``min_dist >= floor``, or None; one query per candidate.
-        ``gains`` is their gain vector when the pick built one, else None.  No candidate lies
-        before ``pos`` on a walking state's order: it may return ``pos`` moved."""
+        ``min_dist`` is -1 exactly on the selection and >= +0.0 elsewhere, so at a zero floor the
+        candidates are the ``outside`` = n - |S| points off it.  ``gains`` is their gain vector
+        when the pick built one, else None.  No candidate lies before ``pos`` on a walking
+        state's order: it may return ``pos`` moved."""
         cand = (min_dist >= floor).nonzero()[0]
         if not cand.size:
             return None

@@ -110,7 +110,7 @@ class _FixedGains(_AdditiveGains):
 
     gains = _AdditiveGains._gains
 
-    def pick(self, min_dist, floor, pos):
+    def pick(self, min_dist, floor, pos, outside):
         order = self.utility._order
         pos = _walk(order, min_dist, floor, pos)
         if pos == order.size:
@@ -273,12 +273,14 @@ class _BudgetGains(_AdditiveGains):
         u = self.utility
         return u.alpha * ((u.weights.item(v) + self.total) / u.k) - self.g
 
-    def pick(self, min_dist, floor, pos):
-        """Capped, the lowest index; free, the first candidate on ``_order`` unless the next
-        one's gain equals its (a lower index may tie): then, or straddling, the default."""
+    def pick(self, min_dist, floor, pos, outside):
+        """Capped, the lowest index; free, the first candidate t on ``_order`` unless the next
+        position's and the next candidate's gains tie t's (a lower index may): then, or straddling,
+        the default.  Free at a zero floor, the candidates are the ``outside`` points off S:
+        no scan."""
         if self.capped or self.free:
-            mask = min_dist >= floor
-            count = int(np.count_nonzero(mask))
+            mask = None if self.free and floor == 0.0 else min_dist >= floor  # -0.0 == 0.0
+            count = outside if mask is None else int(np.count_nonzero(mask))
             if not count:
                 return None
             if self.capped:
@@ -286,14 +288,15 @@ class _BudgetGains(_AdditiveGains):
                 return int(mask.argmax()), 0.0, pos, None
             order = self.utility._order
             pos = _walk(order, min_dist, floor, pos)
-            # nxt, the next candidate's position, is the next walk's start: once t joins S no point
-            # before it is a candidate, here or on a branch peeled now (floors above dist(t, S))
-            t, nxt = order.item(pos), pos + 1 if count == 1 else _walk(order, min_dist, floor, pos + 1)
-            gain = self._gain(t)
-            if count == 1 or self._gain(order.item(nxt)) != gain:
+            t = order.item(pos)
+            gain = self._gain(t)  # gains never rise along _order: below it at pos + 1, below it after
+            # pos + 1 starts the next walk: once t joins S no point before it is a candidate, here
+            # or on a branch peeled now (floors above dist(t, S))
+            if count == 1 or self._gain(order.item(pos + 1)) < gain or self._gain(
+                    order.item(_walk(order, min_dist, floor, pos + 1))) != gain:
                 self.run.add(count)
-                return t, gain, nxt, None
-        return super().pick(min_dist, floor, pos)
+                return t, gain, pos + 1, None
+        return super().pick(min_dist, floor, pos, outside)
 
 
 def _walk(order: np.ndarray, min_dist: np.ndarray, floor: float, pos: int) -> int:

@@ -12,7 +12,7 @@ import pytest
 
 import reference
 from divsel import CoverageUtility, Instance, LinearUtility, MarginSimilarityUtility, Problem
-from divsel import cli
+from divsel import cli, formats
 from divsel.cli import CSV_COLUMNS, _guarantee_threshold, main
 
 
@@ -200,11 +200,11 @@ def test_non_integral_integers_are_rejected(tmp_path):
                       ({"kind": "coverage", "family": [["a"], [1], [2]]}, 3),
                       ({"kind": "coverage", "family": [[1.0], [1], [2.0]]}, 0),
                       ({"kind": "constant_zero", "n": 3.0}, 0)):
-        util.write_text(json.dumps(doc))
+        formats._write_text(json.dumps(doc), util)  # in place: O_TRUNC can cost ~40 ms per rewrite
         assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 2,
                    "--out", out) == code, doc
     for n in (math.inf, True):
-        inst.write_text(json.dumps({"n": n, "metric": "euclidean", "points": [[0.0]]}))
+        formats._write_text(json.dumps({"n": n, "metric": "euclidean", "points": [[0.0]]}), inst)
         assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 1,
                    "--out", out) == 2
     emb, edges = tmp_path / "emb.jsonl", tmp_path / "edges.json"
@@ -212,7 +212,7 @@ def test_non_integral_integers_are_rejected(tmp_path):
                            for v in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0])])
     for pairs, code in (([[0.7, 1.2]], 2), ([[0.0, 1.0]], 0), ([[0, 3]], 3), ([[-1, 0]], 3),
                         ([[0, 1, 7]], 2), ([[0, 1, "junk"]], 2), ([[0]], 2)):
-        edges.write_text(json.dumps(pairs))
+        formats._write_text(json.dumps(pairs), edges)
         assert run("ingest", "--embeddings", emb, "--utility", "margin_similarity",
                    "--edges", edges, "--k", 2, "--out", tmp_path / "sel.json") == code, pairs
 
@@ -250,7 +250,7 @@ def test_utility_fields_that_are_no_numbers_exit_3(tmp_path):
                  ({**margin, "alpha_s": bad}, 3), ({**margin, "beta_s": bad}, 3),
                  ({**margin, "edges": [[0, 1, bad]]}, 3)]
     for doc, code in docs:
-        util.write_text(json.dumps(doc))
+        formats._write_text(json.dumps(doc), util)  # in place: O_TRUNC can cost ~40 ms per rewrite
         assert run("solve", "--instance", inst, "--utility", util, "--lam", 1, "--k", 2,
                    "--out", out) == code, doc
 

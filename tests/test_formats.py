@@ -274,11 +274,11 @@ def test_embeddings_parse_finite_doubles_as_json_does(tmp_path):
 
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=24))
     def check(values):
-        values = values + EXTREMES
-        with open(path, "w") as fh:
-            for form in ("{!r}".format, "{:.17g}".format, "{:.20e}".format):
-                numbers = [form(x) for x in values]
-                fh.write(f'{{"embedding": [{", ".join(numbers)}], "uncertainty": {numbers[0]}}}\n')
+        values, lines = values + EXTREMES, []
+        for form in ("{!r}".format, "{:.17g}".format, "{:.20e}".format):
+            numbers = [form(x) for x in values]
+            lines.append(f'{{"embedding": [{", ".join(numbers)}], "uncertainty": {numbers[0]}}}\n')
+        formats._write_text("".join(lines), path)  # in place: O_TRUNC can cost ~40 ms per example
         assert_loads_like_json(path)
 
     check()
@@ -417,7 +417,7 @@ def test_embeddings_loader_answers_as_the_line_by_line_reference(tmp_path):
     @example('{"embedding": [[0.5]], "uncertainty": 0.5}\n{"embedding": [[0.25]], "uncertainty": 1}')
     @example('{"embedding": [0.5, "0.5"], "uncertainty": 0.5}\n')
     def check(text):
-        path.write_bytes(text.encode("utf-8"))
+        formats._write_text(text, path)  # in place: O_TRUNC can cost ~40 ms per example
         assert load_outcome(load_embeddings, path) == load_outcome(
             reference.load_embeddings_json, path)
 

@@ -31,6 +31,11 @@ and one-hot rows at a few sizes, some with blank lines and CRLF or CR line ends,
 and one file per fault kind with the fault on line 1 and again on line 4.  Each
 run records its exit code, the last line of stderr (the file's directory as
 ``<DIR>``) and the output fields, floats as ``float.hex``.
+``--dump FILE --pools`` sends each request of the four benchmark workloads'
+seed-0 pools (``perfbench/workloads.py``) once, as the benchmark sends it, also
+kept out of both digests: one record per request with its selection, f, g, div
+and winning threshold as ``float.hex``, and its ``oracle_calls``.  The
+``ingest-cold`` files go to a temporary directory.
 """
 
 import argparse
@@ -40,6 +45,7 @@ import io
 import itertools
 import json
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -295,12 +301,34 @@ def ingest_records():
                         for key, value in sorted(fields.items()) if key != "wall_time_ms"])
 
 
-def dump(path, cosine=False, coverage=False, ingest=False):
-    """Write every record of both digests, or of the cosine, coverage or ingest grid, to
-    ``path``, one per line."""
+def pools_records():
+    """One record per request of each benchmark workload's seed-0 pool, each sent once."""
+    import divsel
+    import divsel.algorithms
+    import divsel.cli
+
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import WORKLOADS  # loaded here only: tier-1 never imports the benchmark
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, workload in WORKLOADS.items():
+            inputs = workload.generate(0, Path(tmp))
+            state = workload.build(divsel, inputs)
+            workload.warm_up(divsel, state)
+            for spec in workload.specs(inputs):
+                res = workload.result(state, spec, workload.call(divsel, state, spec))
+                yield (name, spec.key, res["selected"],
+                       *(None if res[key] is None else res[key].hex()
+                         for key in ("f", "g", "div", "threshold")), res["oracle_calls"])
+
+
+def dump(path, cosine=False, coverage=False, ingest=False, pools=False):
+    """Write every record of both digests, or of the cosine, coverage, ingest or pools grid,
+    to ``path``, one per line."""
     sources = ((("cosine", cosine_records()),) if cosine else
                (("coverage", coverage_records()),) if coverage else
                (("ingest", ingest_records()),) if ingest else
+               (("pools", pools_records()),) if pools else
                (("golden", records()), ("exact", exact_records())))
     with open(path, "w") as fh:
         for name, recs in sources:
@@ -317,5 +345,7 @@ if __name__ == "__main__":
                         help="dump the same-machine coverage grid instead of the digests' records")
     parser.add_argument("--ingest", action="store_true",
                         help="dump divsel ingest over a grid of embeddings files instead")
+    parser.add_argument("--pools", action="store_true",
+                        help="dump every request of the benchmark workloads' seed-0 pools instead")
     args = parser.parse_args()
-    dump(args.dump, args.cosine, args.coverage, args.ingest)
+    dump(args.dump, args.cosine, args.coverage, args.ingest, args.pools)

@@ -8,6 +8,7 @@ point in all (a subclass of one counts like any other utility).
 The cosine matrix, the diameter and the diametrical pair must match the
 reference's bit for bit."""
 
+import itertools
 import math
 from dataclasses import astuple
 
@@ -425,3 +426,44 @@ def test_fixed_order_picks_match_literal_reference(side):
                 expected, queries = reference.greedy(problem, d)
                 got, calls = counted(util, lambda: greedy_independent_set(inst, util, d, k))
                 assert (got, calls) == (expected, queries), (label, d)
+
+
+def tied_pair_problems(b_at):
+    """Ten heavy points 10 apart on a line (weights 1 - j / 1024), then b (index 10, weight
+    0.5) at ``b_at``, t (index 11, 2**-51 heavier) at 200 and a light point at 300.  After the
+    ten heavy picks, t is first on the fixed order and b next, and their gains tie: 2**-51 is a
+    quarter ulp of the running total.  Free (beta 1) and capped from the first pick (beta 0.1)
+    budget-additive utilities, with k = 11 (the tie decides the last pick) and k = 13."""
+    weights = [1.0 - j * 2.0**-10 for j in range(10)] + [0.5, 0.5 + 2.0**-51, 0.25]
+    inst = Instance.from_euclidean([[10.0 * j] for j in range(10)] + [[b_at], [200.0], [300.0]])
+    for regime, beta, k_cap in (("free", 1.0, 40), ("capped", 0.1, 4)):
+        util = BudgetAdditiveUtility(weights, alpha=0.9, beta=beta, k=k_cap)
+        if regime == "free":
+            state = util._gain_state(range(10))
+            assert util._order[10:12].tolist() == [11, 10] and state._gain(11) == state._gain(10)
+        for k in (11, 13):
+            for schedule in ("geometric", "exhaustive"):
+                yield Problem(inst, util, lam=0.0, k=k, epsilon=0.2, schedule=schedule), (regime, k, schedule)
+
+
+@pytest.mark.parametrize("b_at", [0.5, 150.0, 0.0])
+def test_budget_pick_exits_match_literal_reference(b_at):
+    # b at 0.5 is no candidate at floor 5 when t is picked, so t wins after one walk past b
+    # to the light point; at 150 b is a candidate of lower index tying t, which the gain
+    # vector must pick; at 0.0 b duplicates point 0: the exhaustive schedule repeats the zero
+    # floor, where b (at +0.0 from the selection) stays a candidate.  Each greedy prefix at
+    # floors 0.0, -0.0 and 5 checks the picks and one step's queries at a time.
+    for problem, label in tied_pair_problems(b_at):
+        inst, util, k = problem.instance, problem.utility, problem.k
+        if b_at == 0.0 and problem.schedule == "exhaustive":
+            assert distance_thresholds(problem)[0] == 0.0, label
+        sol = gist(problem)
+        assert hexed(outcome(sol)) == hexed(reference.gist(problem)), label
+        assert sol.oracle_calls == reference.gist_queries(problem), label
+        sol = simple_baseline(problem)
+        assert hexed(outcome(sol)) == hexed(reference.simple_baseline(problem)), label
+        if problem.schedule == "geometric":
+            for d, size in itertools.product((0.0, -0.0, 5.0), range(1, k + 1)):
+                prefix = Problem(inst, util, lam=0.0, k=size)
+                got = counted(util, lambda: greedy_independent_set(inst, util, d, size))
+                assert got == reference.greedy(prefix, d), (label, d, size)

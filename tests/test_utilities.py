@@ -429,6 +429,7 @@ def test_every_gain_state_counts_one_query_per_value_and_per_candidate():
                 assert run.count == (n if fixed else 0), kind
                 order = [int(v) for v in rng.permutation(n)]
                 min_dist = rng.uniform(0.0, 2.0, n)
+                min_dist[order[-1]] = 0.0  # a candidate at the zero floor
                 for i, v in enumerate(order):
                     rest = np.array(order[i:], dtype=np.intp)
                     before = run.count
@@ -436,20 +437,21 @@ def test_every_gain_state_counts_one_query_per_value_and_per_candidate():
                     assert run.count - before == (0 if fixed else rest.size), (kind, fixed)
                     state.value()
                     assert run.count - before == (1 if fixed else rest.size + 1), (kind, fixed)
-                    floor = float(np.sort(min_dist[rest])[rest.size // 2])  # half the rest, or more
-                    cand = np.flatnonzero(min_dist >= floor)
-                    before = run.count
-                    t, gain, _, picked = state.pick(min_dist, floor, 0)
-                    assert run.count - before == (0 if fixed else cand.size), (kind, fixed)
-                    assert type(run.count) is int, kind  # no numpy integer
-                    expected = gains[np.argsort(rest)][np.isin(np.sort(rest), cand)]
-                    top = expected.argmax()
-                    assert (t, gain.hex()) == (int(cand[top]), expected[top].hex()), kind
-                    if picked is not None:  # the candidates' gain vector, as gains gives it
-                        assert picked.tobytes() == expected.tobytes(), kind
+                    half = float(np.sort(min_dist[rest])[rest.size // 2])  # half the rest, or more
+                    for floor in (0.0, half):  # a zero floor's candidates: the n - i points off S
+                        cand = np.flatnonzero(min_dist >= floor)
+                        before = run.count
+                        t, gain, _, picked = state.pick(min_dist, floor, 0, n - i)
+                        assert run.count - before == (0 if fixed else cand.size), (kind, fixed)
+                        assert type(run.count) is int, kind  # no numpy integer
+                        expected = gains[np.argsort(rest)][np.isin(np.sort(rest), cand)]
+                        top = expected.argmax()
+                        assert (t, gain.hex()) == (int(cand[top]), expected[top].hex()), kind
+                        if picked is not None:  # the candidates' gain vector, as gains gives it
+                            assert picked.tobytes() == expected.tobytes(), kind
                     state.add(v)
                     min_dist[v] = -1.0
-                assert state.pick(min_dist, 0.0, 0) is None, kind
+                assert state.pick(min_dist, 0.0, 0, 0) is None, kind
                 assert util.query_count == lifetime, kind
                 assert run.end(kind) == kind and util.query_count == lifetime + run.count, kind
 
